@@ -419,30 +419,12 @@ int run_trace_summary(const InspectOptions& options, std::ostream& out) {
 // ------------------------------------------------------------ jsonl mode
 
 struct CellGap {
-  std::string sweep;
-  std::uint64_t cell_index = 0;
-  std::string attack;
-  std::string scheduler;
-  std::uint64_t hz = 0;
+  report::CellCoords coords;
   double billed = 0.0;
   double true_s = 0.0;
   double overcharge = 0.0;
   double gap = 0.0;
 };
-
-/// The per-stat tokens are nested one-line objects; re-parse them through
-/// the strict JSON reader to pull the mean.
-double stat_mean(const std::map<std::string, std::string>& fields,
-                 const std::string& key, const std::string& where) {
-  const auto it = fields.find(key);
-  if (it == fields.end())
-    throw std::runtime_error(where + ": cell record missing '" + key + "'");
-  try {
-    return json::get_f64(json::parse_document(it->second), "mean");
-  } catch (const std::exception& e) {
-    throw std::runtime_error(where + ": bad '" + key + "': " + e.what());
-  }
-}
 
 int run_top_cells(const InspectOptions& options, std::ostream& out) {
   const FileScan scan = scan_jsonl(options.jsonl_path);
@@ -451,27 +433,28 @@ int run_top_cells(const InspectOptions& options, std::ostream& out) {
   std::vector<CellGap> cells;
   for (const CellBlock& b : scan.blocks) {
     if (!b.closed || b.cell_line.empty()) continue;
-    std::map<std::string, std::string> f;
-    const std::string where =
-        options.jsonl_path + " cell " + std::to_string(b.cell_index);
-    if (!parse_json_line(b.cell_line, f))
-      throw std::runtime_error(where + ": unparseable cell record");
     CellGap c;
-    c.sweep = b.sweep;
-    c.cell_index = b.cell_index;
-    c.attack = b.attack;
-    c.scheduler = b.scheduler;
-    c.hz = b.hz;
-    c.billed = stat_mean(f, "billed_seconds", where);
-    c.true_s = stat_mean(f, "true_seconds", where);
-    c.overcharge = stat_mean(f, "overcharge", where);
+    c.coords = b.coords;
+    try {
+      const json::Value cell = json::parse_document(b.cell_line);
+      const auto mean = [&](const char* key) {
+        return json::get_f64(json::get_object(cell, key), "mean");
+      };
+      c.billed = mean("billed_seconds");
+      c.true_s = mean("true_seconds");
+      c.overcharge = mean("overcharge");
+    } catch (const std::runtime_error& e) {
+      throw std::runtime_error(options.jsonl_path + " cell " +
+                               std::to_string(b.coords.cell_index) + ": " +
+                               e.what());
+    }
     c.gap = c.billed - c.true_s;
     cells.push_back(std::move(c));
   }
   std::sort(cells.begin(), cells.end(), [](const CellGap& a, const CellGap& b) {
     if (a.gap != b.gap) return a.gap > b.gap;
-    if (a.sweep != b.sweep) return a.sweep < b.sweep;
-    return a.cell_index < b.cell_index;
+    if (a.coords.sweep != b.coords.sweep) return a.coords.sweep < b.coords.sweep;
+    return a.coords.cell_index < b.coords.cell_index;
   });
   const std::size_t n =
       std::min<std::size_t>(cells.size(), static_cast<std::size_t>(options.top));
@@ -484,9 +467,9 @@ int run_top_cells(const InspectOptions& options, std::ostream& out) {
     const CellGap& c = cells[i];
     out << "  " << std::setw(12) << fmt6(c.gap) << std::setw(12)
         << fmt6(c.billed) << std::setw(12) << fmt6(c.true_s) << std::setw(12)
-        << fmt6(c.overcharge) << "  " << c.sweep << "#" << c.cell_index
-        << " attack=" << c.attack << " sched=" << c.scheduler
-        << " hz=" << c.hz << "\n";
+        << fmt6(c.overcharge) << "  " << c.coords.sweep << "#"
+        << c.coords.cell_index << " attack=" << c.coords.attack
+        << " sched=" << c.coords.scheduler << " hz=" << c.coords.hz << "\n";
   }
   return 0;
 }

@@ -1,5 +1,6 @@
 #include "dist/json.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -14,6 +15,7 @@ class Parser {
 
   Value parse_document() {
     Value v = parse_value();
+    key_ = {};
     skip_ws();
     if (pos_ != s_.size()) fail("trailing bytes after the JSON document");
     return v;
@@ -21,7 +23,9 @@ class Parser {
 
  private:
   [[noreturn]] void fail(const std::string& why) const {
-    throw std::runtime_error("offset " + std::to_string(pos_) + ": " + why);
+    std::string msg = "offset " + std::to_string(pos_) + ": " + why;
+    if (!key_.empty()) msg += " (reading field '" + std::string(key_) + "')";
+    throw std::runtime_error(msg);
   }
 
   void skip_ws() {
@@ -51,6 +55,18 @@ class Parser {
 
   Value parse_value() {
     const char ch = peek();
+    const std::size_t start = pos_;
+    // Bounded recursion: a line of a million '[' is malformed input, not a
+    // stack overflow. Our writers nest a handful of levels deep.
+    if (++depth_ > kMaxDepth)
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    Value v = parse_value_at(ch);
+    --depth_;
+    v.offset = start;
+    return v;
+  }
+
+  Value parse_value_at(char ch) {
     switch (ch) {
       case '{': return parse_object();
       case '[': return parse_array();
@@ -87,7 +103,10 @@ class Parser {
     }
     for (;;) {
       if (peek() != '"') fail("object key must be a string");
+      const std::size_t key_start = pos_ + 1;
       std::string key = parse_string();
+      // Raw key bytes for diagnostics; they stay valid while s_ lives.
+      key_ = s_.substr(key_start, pos_ - 1 - key_start);
       expect(':');
       v.fields.emplace_back(std::move(key), parse_value());
       const char next = peek();
@@ -118,12 +137,13 @@ class Parser {
     expect('"');
     std::string out;
     while (pos_ < s_.size()) {
-      const char ch = s_[pos_++];
-      if (ch == '"') return out;
-      if (ch != '\\') {
-        out += ch;
-        continue;
-      }
+      // Copy the run up to the next quote or escape in one piece.
+      std::size_t stop = pos_;
+      while (stop < s_.size() && s_[stop] != '"' && s_[stop] != '\\') ++stop;
+      out.append(s_.data() + pos_, stop - pos_);
+      pos_ = stop;
+      if (pos_ == s_.size()) break;
+      if (s_[pos_++] == '"') return out;
       if (pos_ >= s_.size()) fail("unterminated escape");
       const char esc = s_[pos_++];
       switch (esc) {
@@ -182,8 +202,12 @@ class Parser {
     return v;
   }
 
+  static constexpr int kMaxDepth = 64;
+
   std::string_view s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
+  std::string_view key_;  // last object key read, for error context
 };
 
 [[noreturn]] void field_error(std::string_view name, const char* what) {
@@ -251,6 +275,12 @@ std::string get_string(const Value& obj, std::string_view name) {
   const Value& v = require(obj, name);
   if (v.kind != Value::Kind::kString) field_error(name, "is not a string");
   return v.text;
+}
+
+bool get_bool(const Value& obj, std::string_view name) {
+  const Value& v = require(obj, name);
+  if (v.kind != Value::Kind::kBool) field_error(name, "is not a boolean");
+  return v.boolean;
 }
 
 const Value& get_array(const Value& obj, std::string_view name) {

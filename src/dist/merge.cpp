@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "dist/json.hpp"
 #include "dist/metrics.hpp"
 #include "dist/records.hpp"
 #include "report/result_sink.hpp"
@@ -25,6 +26,8 @@ constexpr const char* kUsage =
     "incomplete shard tails, duplicate/conflicting cells, gaps in the cell\n"
     "index space) and re-emitted in grid order; JSONL cell aggregates are\n"
     "recomputed from the run records and cross-checked against the shard.\n"
+    "Inputs must be record schema v4 and metrics.json v2, the formats this\n"
+    "build writes; files of any other version are refused (exit 2).\n"
     "The merged files are byte-identical to a single-process run of the\n"
     "same grid. Metrics fold by sweep name: counters sum, gauges max, and\n"
     "the shard count adds up.\n"
@@ -38,19 +41,14 @@ constexpr const char* kUsage =
     "  --help             print this message\n"
     "\n"
     "Exit codes: 0 merged and verified; 1 output write failure; 2 usage\n"
-    "error or corrupt/unusable input (torn tail, schema mixing, aggregate\n"
-    "recomputation mismatch — reports name file, line, and byte offset);\n"
+    "error or corrupt/unusable input (torn tail, unreadable file, other\n"
+    "schema version, aggregate recomputation mismatch — reports name file,\n"
+    "line, and byte offset);\n"
     "3 cell-index gap or duplicate cell (incomplete or overlapping shard\n"
     "set; each file itself may be intact).\n";
 
 [[noreturn]] void bad_usage(const std::string& message) {
   throw std::runtime_error(message + "\n\n" + kUsage);
-}
-
-std::string describe(const CellBlock& b) {
-  return "cell " + std::to_string(b.cell_index) + " [sweep=" + b.sweep +
-         ", attack=" + b.attack + ", scheduler=" + b.scheduler +
-         ", hz=" + std::to_string(b.hz) + "]";
 }
 
 /// "path:line" of a block's `i`-th run record (run lines are contiguous).
@@ -64,63 +62,47 @@ bool has_suffix(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-/// Every input's blocks in one cell_index -> (block, source) map, plus the
-/// schema version all of them share.
-struct GatheredBlocks {
-  std::map<std::uint64_t, std::pair<CellBlock, std::string>> cells;
-  /// The inputs' common schema version (v2 shards merge into a v2 file,
-  /// v3 into v3; a mix is rejected).
-  std::uint64_t schema = 0;
-};
+/// Every input's blocks, keyed by cell_index, with the path each came from.
+using GatheredBlocks = std::map<std::uint64_t, std::pair<CellBlock, std::string>>;
 
-/// Collects every input's blocks, rejecting incomplete shards, empty
-/// inputs, duplicates, gaps, and inputs whose schema versions disagree.
-/// `allow_gaps` turns gaps (and an all-empty input set) into entries in
-/// `missing_out` instead of errors — the partial-fleet merge path.
+/// Collects every input's blocks, rejecting unreadable or incomplete
+/// shards, empty inputs, duplicates, and gaps. `allow_gaps` turns gaps
+/// (and an all-empty input set) into entries in `missing_out` instead of
+/// errors — the partial-fleet merge path.
 GatheredBlocks gather_blocks(const std::vector<std::string>& inputs,
                              bool jsonl, bool allow_gaps = false,
                              std::vector<std::uint64_t>* missing_out = nullptr) {
-  GatheredBlocks out;
-  auto& cells = out.cells;
-  std::string schema_source;
+  GatheredBlocks cells;
   for (const std::string& path : inputs) {
-    FileScan scan = jsonl ? scan_jsonl(path) : scan_csv(path);
+    FileScan scan;
+    try {
+      scan = jsonl ? scan_jsonl(path) : scan_csv(path);
+    } catch (const std::runtime_error& e) {
+      // Unreadable, or written in another schema generation.
+      throw MergeError(MergeFault::kCorrupt, e.what());
+    }
     if (!scan.clean)
       throw MergeError(
           MergeFault::kCorrupt,
           scan.tail_error +
               " — the shard looks killed mid-write; finish it with --resume "
               "(or re-run it) before merging");
-    if (scan.schema != 0) {
-      if (out.schema == 0) {
-        out.schema = scan.schema;
-        schema_source = path;
-      } else if (out.schema != scan.schema) {
-        throw MergeError(
-            MergeFault::kCorrupt,
-            path + ": records carry schema v" + std::to_string(scan.schema) +
-                " but " + schema_source + " carries v" +
-                std::to_string(out.schema) +
-                " — shards of one sweep never mix versions; merge each "
-                "generation separately");
-      }
-    }
     // A blockless file is fine: a shard can own zero cells of a small
     // sweep and still leave its (empty) output behind.
     for (CellBlock& b : scan.blocks) {
-      const auto [it, inserted] =
-          cells.emplace(b.cell_index, std::make_pair(std::move(b), path));
+      const auto [it, inserted] = cells.emplace(
+          b.coords.cell_index, std::make_pair(std::move(b), path));
       if (!inserted) {
         const CellBlock& first = it->second.first;
         throw MergeError(MergeFault::kGapOrDuplicate,
-                         "duplicate " + describe(first) + " in " +
+                         "duplicate " + describe_cell(first.coords) + " in " +
                              it->second.second + " and " + path +
                              " — overlapping shards?");
       }
     }
   }
   if (cells.empty()) {
-    if (allow_gaps) return out;  // every surviving shard owned zero cells
+    if (allow_gaps) return cells;  // every surviving shard owned zero cells
     throw MergeError(MergeFault::kCorrupt,
                      "no complete cells to merge in any input");
   }
@@ -147,9 +129,10 @@ GatheredBlocks gather_blocks(const std::vector<std::string>& inputs,
       if (entry.first.seeds.size() != reference->seeds.size())
         throw MergeError(
             MergeFault::kCorrupt,
-            entry.second + ": " + describe(entry.first) + " has " +
-                std::to_string(entry.first.seeds.size()) +
-                " run record(s) but " + describe(*reference) + " has " +
+            entry.second + ": " + describe_cell(entry.first.coords) +
+                " has " + std::to_string(entry.first.seeds.size()) +
+                " run record(s) but " + describe_cell(reference->coords) +
+                " has " +
                 std::to_string(reference->seeds.size()) +
                 " — incomplete shard output? finish it with --resume before "
                 "merging");
@@ -179,80 +162,43 @@ GatheredBlocks gather_blocks(const std::vector<std::string>& inputs,
       }
     }
   }
-  return out;
+  return cells;
 }
 
 /// Rebuilds the `record:"cell"` aggregate line from the block's run
-/// records, exactly the way JsonlSink computes it — including the v2
-/// layout for v2 shard files, so old sweeps merge byte-identically too.
+/// records, exactly the way JsonlSink computes it.
 std::string recompute_cell_line(const CellBlock& b, const std::string& path) {
   report::CellSummary s;
-  s.schema = b.schema;
-  s.sweep = b.sweep;
-  s.cell_index = b.cell_index;
-  s.attack = b.attack;
-  s.scheduler = b.scheduler;
-  s.hz = b.hz;
-  s.cpu_hz = b.cpu_hz;
-  s.ram_frames = b.ram_frames;
-  s.reclaim_batch = b.reclaim_batch;
-  s.ptrace = b.ptrace;
-  s.jiffy_timers = b.jiffy_timers;
-  s.population = static_cast<std::uint32_t>(b.population);
-  s.attacker_fraction = b.attacker_fraction;
-  s.victim_nice = b.victim_nice;
-  s.attacker_nice = b.attacker_nice;
+  s.coords = b.coords;
   s.seeds = b.run_lines.size();
-  for (const std::string& key : cell_stat_keys(b.schema))
-    s.stats.push_back({key, {}});
-  if (b.schema >= 4)
-    for (const auto& cols : cell_sketch_columns())
-      s.sketches.emplace_back(cols.first, QuantileSketch{});
+  for (const std::string& key : cell_stat_keys()) s.stats.push_back({key, {}});
+  const auto& columns = cell_sketch_columns();
+  for (const auto& cols : columns)
+    s.sketches.emplace_back(cols.first, QuantileSketch{});
 
   for (std::size_t i = 0; i < b.run_lines.size(); ++i) {
-    const std::string& line = b.run_lines[i];
-    std::map<std::string, std::string> f;
-    if (!parse_json_line(line, f))
-      throw MergeError(MergeFault::kCorrupt,
-                       run_line_at(path, b, i) + ": unparseable run record in " +
-                           describe(b));
-    const auto workload = json_string(f, "workload");
-    const auto source_ok = json_bool(f, "source_ok");
-    if (!workload || !source_ok)
-      throw MergeError(MergeFault::kCorrupt,
-                       run_line_at(path, b, i) + ": run record of " +
-                           describe(b) + " is missing or has an invalid field '" +
-                           (!workload ? "workload" : "source_ok") + "'");
-    s.workload = *workload;  // constant within a cell
-    s.source_ok = s.source_ok && *source_ok;
-    for (report::CellStatSummary& st : s.stats) {
-      const auto v = json_double(f, st.key);
-      if (!v)
-        throw MergeError(MergeFault::kCorrupt,
-                         run_line_at(path, b, i) + ": run record of " +
-                             describe(b) +
-                             " is missing or has an invalid field '" + st.key +
-                             "'");
-      st.stats.add(*v);
-    }
-    if (b.schema >= 4) {
-      // v4 run records carry the per-run sketches verbatim; merging them is
+    try {
+      const json::Value rec = json::parse_document(b.run_lines[i]);
+      s.workload = json::get_string(rec, "workload");  // constant within a cell
+      s.source_ok = s.source_ok && json::get_bool(rec, "source_ok");
+      for (report::CellStatSummary& st : s.stats)
+        st.stats.add(json::get_f64(rec, st.key));
+      // Run records carry the per-run sketches verbatim; merging them is
       // exact (bucket counts sum), so the recomputed cell quantiles come
       // out byte-identical to the single-process run.
-      const auto& columns = cell_sketch_columns();
       for (std::size_t k = 0; k < columns.size(); ++k) {
         const std::string& run_key = columns[k].second;
-        const auto token = json_string(f, run_key);
         const auto sketch =
-            token ? report::decode_sketch(*token) : std::nullopt;
+            report::decode_sketch(json::get_string(rec, run_key));
         if (!sketch)
-          throw MergeError(MergeFault::kCorrupt,
-                           run_line_at(path, b, i) + ": run record of " +
-                               describe(b) +
-                               " is missing or has an invalid field '" +
-                               run_key + "'");
+          throw std::runtime_error("field '" + run_key +
+                                   "' is not an encoded sketch");
         s.sketches[k].second.merge(*sketch);
       }
+    } catch (const std::runtime_error& e) {
+      throw MergeError(MergeFault::kCorrupt,
+                       run_line_at(path, b, i) + ": run record of " +
+                           describe_cell(b.coords) + ": " + e.what());
     }
   }
 
@@ -304,8 +250,8 @@ MergeOptions parse_merge_args(int argc, const char* const* argv) {
 std::string merge_jsonl(const std::vector<std::string>& inputs,
                         std::vector<std::uint64_t>* cell_indices,
                         bool allow_gaps, std::vector<std::uint64_t>* missing) {
-  const auto& cells =
-      gather_blocks(inputs, /*jsonl=*/true, allow_gaps, missing).cells;
+  const GatheredBlocks cells =
+      gather_blocks(inputs, /*jsonl=*/true, allow_gaps, missing);
   std::string out;
   for (const auto& [index, entry] : cells) {
     const CellBlock& b = entry.first;
@@ -319,7 +265,8 @@ std::string merge_jsonl(const std::vector<std::string>& inputs,
     if (cell_line != b.cell_line + "\n")
       throw MergeError(
           MergeFault::kCorrupt,
-          entry.second + ": recomputed aggregate for " + describe(b) +
+          entry.second + ": recomputed aggregate for " +
+              describe_cell(b.coords) +
               " does not match the recorded summary — corrupt shard output?");
     out += cell_line;
     if (cell_indices) cell_indices->push_back(index);
@@ -330,14 +277,10 @@ std::string merge_jsonl(const std::vector<std::string>& inputs,
 std::string merge_csv(const std::vector<std::string>& inputs,
                       std::vector<std::uint64_t>* cell_indices,
                       bool allow_gaps, std::vector<std::uint64_t>* missing) {
-  const GatheredBlocks gathered =
+  const GatheredBlocks cells =
       gather_blocks(inputs, /*jsonl=*/false, allow_gaps, missing);
-  const auto& cells = gathered.cells;
-  const std::uint64_t schema = gathered.schema;
   std::ostringstream os;
-  // The header mirrors the shards' version: v2 inputs round-trip into the
-  // byte-identical v2 file a v2 build would have produced.
-  report::write_csv_header(os, schema == 0 ? report::kSchemaVersion : schema);
+  report::write_csv_header(os);
   std::string out = os.str();
   for (const auto& [index, entry] : cells) {
     for (const std::string& line : entry.first.run_lines) {

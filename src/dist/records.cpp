@@ -1,157 +1,66 @@
 #include "dist/records.hpp"
 
-#include <cstdlib>
+#include <algorithm>
 #include <fstream>
 #include <stdexcept>
+#include <type_traits>
 
-#include "report/result_sink.hpp"
+#include "dist/json.hpp"
 
 namespace mtr::dist {
 namespace {
 
-/// Index past the closing quote of the string starting at `from` (which
-/// must point at the opening quote), honouring backslash escapes; npos when
-/// the string never closes (truncated line).
-std::size_t skip_json_string(const std::string& line, std::size_t from) {
-  for (std::size_t j = from + 1; j < line.size(); ++j) {
-    if (line[j] == '\\') {
-      ++j;
-    } else if (line[j] == '"') {
-      return j + 1;
-    }
-  }
-  return std::string::npos;
+std::string where(const std::string& path, std::uint64_t line) {
+  return path + ":" + std::to_string(line);
 }
 
-std::string json_unescape(std::string_view token) {
-  std::string out;
-  out.reserve(token.size());
-  for (std::size_t i = 0; i < token.size(); ++i) {
-    if (token[i] != '\\' || i + 1 >= token.size()) {
-      out += token[i];
-      continue;
-    }
-    const char esc = token[++i];
-    switch (esc) {
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'u':
-        // Our writer only emits \u00XX for control characters.
-        if (i + 4 < token.size()) {
-          out += static_cast<char>(
-              std::strtoul(std::string(token.substr(i + 1, 4)).c_str(), nullptr, 16));
-          i += 4;
-        }
-        break;
-      default: out += esc; break;
-    }
+/// Uniform "(byte N)" suffix: every scanner diagnostic names the byte
+/// offset where the offending data begins, so a failure report can be
+/// checked with dd/truncate directly.
+std::string at_byte(std::uint64_t offset) {
+  return " (byte " + std::to_string(offset) + ")";
+}
+
+/// Strict parse of one CSV cell into a record member of type T.
+template <class T>
+bool parse_csv_field(const std::string& text, T& out) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    out = text;
+    return true;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    if (text != "true" && text != "false") return false;
+    out = text == "true";
+    return true;
+  } else {
+    const std::optional<T> v = parse_number<T>(text);
+    if (v) out = *v;
+    return v.has_value();
   }
-  return out;
 }
 
 }  // namespace
 
-bool parse_json_line(const std::string& line,
-                     std::map<std::string, std::string>& out) {
-  out.clear();
-  if (line.empty() || line.front() != '{') return false;
-  std::size_t i = 1;
-  if (i < line.size() && line[i] == '}') return i + 1 == line.size();
-  for (;;) {
-    if (i >= line.size() || line[i] != '"') return false;
-    const std::size_t key_end = skip_json_string(line, i);
-    if (key_end == std::string::npos) return false;
-    const std::string key = line.substr(i + 1, key_end - i - 2);
-    i = key_end;
-    if (i >= line.size() || line[i] != ':') return false;
-    ++i;
-    const std::size_t val_start = i;
-    if (i < line.size() && line[i] == '"') {
-      i = skip_json_string(line, i);
-      if (i == std::string::npos) return false;
-    } else if (i < line.size() && line[i] == '{') {
-      // One level of nesting (the per-stat {...} objects), strings inside
-      // respected.
-      int depth = 1;
-      ++i;
-      while (i < line.size() && depth > 0) {
-        if (line[i] == '"') {
-          i = skip_json_string(line, i);
-          if (i == std::string::npos) return false;
-        } else {
-          if (line[i] == '{') ++depth;
-          if (line[i] == '}') --depth;
-          ++i;
-        }
-      }
-      if (depth != 0) return false;
-    } else {
-      while (i < line.size() && line[i] != ',' && line[i] != '}') ++i;
-      if (i == val_start) return false;
-    }
-    out[key] = line.substr(val_start, i - val_start);
-    if (i >= line.size()) return false;
-    if (line[i] == '}') return i + 1 == line.size();
-    if (line[i] != ',') return false;
-    ++i;
-  }
+void refuse_schema(const std::string& path, std::uint64_t line,
+                   std::uint64_t offset, std::uint64_t found,
+                   std::uint64_t supported) {
+  throw std::runtime_error(where(path, line) + ": field 'schema' is v" +
+                           std::to_string(found) +
+                           ", but this build reads and writes v" +
+                           std::to_string(supported) + " only" +
+                           at_byte(offset));
 }
 
-std::optional<std::string> json_string(
-    const std::map<std::string, std::string>& fields, const std::string& key) {
-  const auto it = fields.find(key);
-  if (it == fields.end() || it->second.size() < 2 || it->second.front() != '"' ||
-      it->second.back() != '"')
-    return std::nullopt;
-  return json_unescape(
-      std::string_view(it->second).substr(1, it->second.size() - 2));
+std::string describe_cell(const report::CellCoords& c) {
+  return "cell " + std::to_string(c.cell_index) + " [sweep=" + c.sweep +
+         ", attack=" + c.attack + ", scheduler=" + c.scheduler +
+         ", hz=" + std::to_string(c.hz) + "]";
 }
 
-std::optional<std::uint64_t> json_u64(
-    const std::map<std::string, std::string>& fields, const std::string& key) {
-  const auto it = fields.find(key);
-  if (it == fields.end()) return std::nullopt;
-  return parse_u64(it->second);
-}
-
-std::optional<std::int64_t> json_i64(
-    const std::map<std::string, std::string>& fields, const std::string& key) {
-  const auto it = fields.find(key);
-  if (it == fields.end()) return std::nullopt;
-  return parse_number<std::int64_t>(it->second);
-}
-
-std::optional<double> json_double(
-    const std::map<std::string, std::string>& fields, const std::string& key) {
-  const auto it = fields.find(key);
-  if (it == fields.end() || it->second.empty()) return std::nullopt;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end != it->second.c_str() + it->second.size()) return std::nullopt;
-  return v;
-}
-
-std::optional<bool> json_bool(const std::map<std::string, std::string>& fields,
-                              const std::string& key) {
-  const auto it = fields.find(key);
-  if (it == fields.end()) return std::nullopt;
-  if (it->second == "true") return true;
-  if (it->second == "false") return false;
-  return std::nullopt;
-}
-
-std::vector<std::string> cell_stat_keys(std::uint64_t version) {
+std::vector<std::string> cell_stat_keys() {
   std::vector<std::string> k;
   core::CellStats cell;
   cell.for_each_stat(
       [&](const char* name, const RunningStats&, auto) { k.emplace_back(name); });
-  if (version < 4) {
-    // The pop_* summaries arrived with v4; older cell lines never had them.
-    std::erase_if(k, [](const std::string& name) {
-      return name.rfind("pop_", 0) == 0;
-    });
-  }
   return k;
 }
 
@@ -169,134 +78,6 @@ const std::vector<std::pair<std::string, std::string>>& cell_sketch_columns() {
   return cols;
 }
 
-namespace {
-
-std::string where(const std::string& path, std::uint64_t line) {
-  return path + ":" + std::to_string(line);
-}
-
-/// Uniform "(byte N)" suffix: every scanner diagnostic names the byte
-/// offset where the offending data begins, so a failure report can be
-/// checked with dd/truncate directly.
-std::string at_byte(std::uint64_t offset) {
-  return " (byte " + std::to_string(offset) + ")";
-}
-
-[[noreturn]] void schema_error(const std::string& path, std::uint64_t line,
-                               std::uint64_t offset, std::uint64_t found) {
-  throw std::runtime_error(
-      where(path, line) + ": record schema version " + std::to_string(found) +
-      " is not supported by this build (writes v" +
-      std::to_string(report::kSchemaVersion) + ", reads v" +
-      std::to_string(report::kMinReadSchemaVersion) + "-v" +
-      std::to_string(report::kSchemaVersion) + ")" + at_byte(offset));
-}
-
-[[noreturn]] void mixed_schema_error(const std::string& path, std::uint64_t line,
-                                     std::uint64_t offset, std::uint64_t first,
-                                     std::uint64_t found) {
-  throw std::runtime_error(
-      where(path, line) + ": record schema version changes from " +
-      std::to_string(first) + " to " + std::to_string(found) +
-      " mid-file — refusing to mix schema versions" + at_byte(offset));
-}
-
-/// The coordinate columns of one record, shared between the two scanners.
-/// Scenario-axis members stay at their defaults for v2 records, the
-/// population-axis members for v2/v3.
-struct RecCoords {
-  std::uint64_t cell_index = 0;
-  std::string sweep, attack, scheduler, ptrace;
-  std::uint64_t hz = 0, cpu_hz = 0, ram_frames = 0, reclaim_batch = 0;
-  bool jiffy_timers = true;
-  std::uint64_t population = 1;
-  double attacker_fraction = 0.0;
-  std::int64_t victim_nice = 0, attacker_nice = 0;
-
-  friend bool operator==(const RecCoords&, const RecCoords&) = default;
-
-  bool same_cell(const CellBlock& b) const {
-    return b.cell_index == cell_index && b.sweep == sweep && b.attack == attack &&
-           b.scheduler == scheduler && b.hz == hz && b.cpu_hz == cpu_hz &&
-           b.ram_frames == ram_frames && b.reclaim_batch == reclaim_batch &&
-           b.ptrace == ptrace && b.jiffy_timers == jiffy_timers &&
-           b.population == population &&
-           b.attacker_fraction == attacker_fraction &&
-           b.victim_nice == victim_nice && b.attacker_nice == attacker_nice;
-  }
-  void stamp(CellBlock& b) const {
-    b.cell_index = cell_index;
-    b.sweep = sweep;
-    b.attack = attack;
-    b.scheduler = scheduler;
-    b.hz = hz;
-    b.cpu_hz = cpu_hz;
-    b.ram_frames = ram_frames;
-    b.reclaim_batch = reclaim_batch;
-    b.ptrace = ptrace;
-    b.jiffy_timers = jiffy_timers;
-    b.population = population;
-    b.attacker_fraction = attacker_fraction;
-    b.victim_nice = victim_nice;
-    b.attacker_nice = attacker_nice;
-  }
-};
-
-/// Pulls the coordinates out of a parsed JSONL record; on failure returns
-/// the name of the missing/invalid field.
-const char* extract_json_coords(const std::map<std::string, std::string>& f,
-                                std::uint64_t schema, RecCoords& out) {
-  const auto sweep = json_string(f, "sweep");
-  const auto cell_index = json_u64(f, "cell_index");
-  const auto attack = json_string(f, "attack");
-  const auto scheduler = json_string(f, "scheduler");
-  const auto hz = json_u64(f, "hz");
-  if (!sweep) return "sweep";
-  if (!cell_index) return "cell_index";
-  if (!attack) return "attack";
-  if (!scheduler) return "scheduler";
-  if (!hz) return "hz";
-  out.sweep = *sweep;
-  out.cell_index = *cell_index;
-  out.attack = *attack;
-  out.scheduler = *scheduler;
-  out.hz = *hz;
-  if (schema >= 3) {
-    const auto cpu_hz = json_u64(f, "cpu_hz");
-    const auto ram_frames = json_u64(f, "ram_frames");
-    const auto reclaim_batch = json_u64(f, "reclaim_batch");
-    const auto ptrace = json_string(f, "ptrace");
-    const auto jiffy = json_bool(f, "jiffy_timers");
-    if (!cpu_hz) return "cpu_hz";
-    if (!ram_frames) return "ram_frames";
-    if (!reclaim_batch) return "reclaim_batch";
-    if (!ptrace) return "ptrace";
-    if (!jiffy) return "jiffy_timers";
-    out.cpu_hz = *cpu_hz;
-    out.ram_frames = *ram_frames;
-    out.reclaim_batch = *reclaim_batch;
-    out.ptrace = *ptrace;
-    out.jiffy_timers = *jiffy;
-  }
-  if (schema >= 4) {
-    const auto population = json_u64(f, "population");
-    const auto fraction = json_double(f, "attacker_fraction");
-    const auto victim_nice = json_i64(f, "victim_nice");
-    const auto attacker_nice = json_i64(f, "attacker_nice");
-    if (!population) return "population";
-    if (!fraction) return "attacker_fraction";
-    if (!victim_nice) return "victim_nice";
-    if (!attacker_nice) return "attacker_nice";
-    out.population = *population;
-    out.attacker_fraction = *fraction;
-    out.victim_nice = *victim_nice;
-    out.attacker_nice = *attacker_nice;
-  }
-  return nullptr;
-}
-
-}  // namespace
-
 FileScan scan_jsonl(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) throw std::runtime_error("cannot open " + path);
@@ -313,6 +94,18 @@ FileScan scan_jsonl(const std::string& path) {
     scan.clean = false;
     scan.tail_error = std::move(why) + at_byte(offset);
   };
+  // The JSON reader and its getters throw naming the offset or the field.
+  // Here that marks a corrupt or torn record, which stops the scan like
+  // any other bad tail instead of escaping it.
+  const auto read = [&](const char* what, const auto& body) {
+    try {
+      body();
+      return true;
+    } catch (const std::runtime_error& e) {
+      stop(where(path, line_no) + ": " + what + e.what());
+      return false;
+    }
+  };
 
   while (std::getline(in, line)) {
     ++line_no;
@@ -323,75 +116,71 @@ FileScan scan_jsonl(const std::string& path) {
     }
     const std::uint64_t line_end = offset + line.size() + 1;
 
-    std::map<std::string, std::string> f;
-    if (!parse_json_line(line, f)) {
-      stop(where(path, line_no) + ": unparseable record");
+    json::Value rec;
+    std::string record;
+    std::uint64_t schema = 0;
+    if (!read("unparseable record: ",
+              [&] { rec = json::parse_document(line); }) ||
+        !read("record ", [&] {
+          record = json::get_string(rec, "record");
+          schema = json::get_u64(rec, "schema");
+        }))
       break;
-    }
-    const auto record = json_string(f, "record");
-    const auto schema = json_u64(f, "schema");
-    if (!record || !schema) {
-      stop(where(path, line_no) + ": record missing or invalid field '" +
-           (!record ? "record" : "schema") + "'");
-      break;
-    }
-    if (*schema < report::kMinReadSchemaVersion ||
-        *schema > report::kSchemaVersion)
-      schema_error(path, line_no, offset, *schema);
-    if (scan.schema == 0) scan.schema = *schema;
-    else if (scan.schema != *schema)
-      mixed_schema_error(path, line_no, offset, scan.schema, *schema);
+    if (schema != report::kSchemaVersion)
+      refuse_schema(path, line_no, offset, schema, report::kSchemaVersion);
 
-    RecCoords c;
-    if (const char* bad = extract_json_coords(f, *schema, c)) {
-      stop(where(path, line_no) + ": record missing or invalid field '" +
-           bad + "'");
+    report::CellCoords c;
+    std::uint64_t seed = 0, seed_index = 0, seeds = 0;
+    if (!read("record ", [&] {
+          report::for_each_coord(
+              [&](const char* key, auto& member) {
+                member = json::get<std::remove_cvref_t<decltype(member)>>(rec, key);
+              },
+              c);
+          if (record == "run") {
+            seed = json::get_u64(rec, "seed");
+            seed_index = json::get_u64(rec, "seed_index");
+          } else if (record == "cell") {
+            seeds = json::get_u64(rec, "seeds");
+          }
+        }))
       break;
-    }
 
-    if (*record == "run") {
-      const auto seed = json_u64(f, "seed");
-      const auto seed_index = json_u64(f, "seed_index");
-      if (!seed || !seed_index) {
-        stop(where(path, line_no) + ": run record missing or invalid field '" +
-             (!seed ? "seed" : "seed_index") + "'");
-        break;
-      }
+    if (record == "run") {
       if (!has_open) {
-        if (*seed_index != 0) {
+        if (seed_index != 0) {
           stop(where(path, line_no) + ": run records of cell " +
                std::to_string(c.cell_index) + " start mid-cell");
           break;
         }
         open = CellBlock{};
-        open.schema = *schema;
+        open.coords = c;
         open.first_line = line_no;
-        c.stamp(open);
         has_open = true;
-      } else if (!c.same_cell(open)) {
-        stop(where(path, line_no) + ": cell " + std::to_string(open.cell_index) +
+      } else if (c != open.coords) {
+        stop(where(path, line_no) + ": cell " +
+             std::to_string(open.coords.cell_index) +
              " has run records but no summary");
         break;
-      } else if (*seed_index != open.seeds.size()) {
+      } else if (seed_index != open.seeds.size()) {
         stop(where(path, line_no) + ": seed_index discontinuity in cell " +
              std::to_string(c.cell_index));
         break;
       }
-      open.seeds.push_back(*seed);
-      open.run_lines.push_back(line);
-    } else if (*record == "cell") {
-      const auto n = json_u64(f, "seeds");
-      if (!has_open || !c.same_cell(open)) {
+      open.seeds.push_back(seed);
+      open.run_lines.push_back(std::move(line));
+    } else if (record == "cell") {
+      if (!has_open || c != open.coords) {
         stop(where(path, line_no) + ": cell summary for cell " +
              std::to_string(c.cell_index) + " without its run records");
         break;
       }
-      if (!n || *n != open.seeds.size()) {
+      if (seeds != open.seeds.size()) {
         stop(where(path, line_no) + ": cell " + std::to_string(c.cell_index) +
              " summary seed count disagrees with its run records");
         break;
       }
-      open.cell_line = line;
+      open.cell_line = std::move(line);
       open.closed = true;
       open.end_offset = line_end;
       scan.valid_bytes = line_end;
@@ -399,7 +188,7 @@ FileScan scan_jsonl(const std::string& path) {
       open = CellBlock{};
       has_open = false;
     } else {
-      stop(where(path, line_no) + ": unknown record type '" + *record + "'");
+      stop(where(path, line_no) + ": unknown record type '" + record + "'");
       break;
     }
     offset = line_end;
@@ -409,7 +198,7 @@ FileScan scan_jsonl(const std::string& path) {
     // The orphan runs begin right after the last complete cell.
     offset = scan.valid_bytes;
     stop(where(path, open.first_line) + ": incomplete cell " +
-         std::to_string(open.cell_index) +
+         std::to_string(open.coords.cell_index) +
          " at end of file (runs without a summary)");
   }
   return scan;
@@ -428,46 +217,34 @@ FileScan scan_csv(const std::string& path) {
     return scan;
   }
   const std::vector<std::string> header = report::split_csv_line(line);
-  // The header row names the layout: the current schema or any older one
-  // this build still reads.
-  std::uint64_t version = 0;
-  for (std::uint64_t v = report::kSchemaVersion;
-       v >= report::kMinReadSchemaVersion; --v) {
-    if (header == report::run_schema_keys(v)) {
-      version = v;
-      break;
-    }
-  }
-  if (version == 0)
-    throw std::runtime_error(
-        where(path, 1) + ": CSV header matches no supported schema layout "
-        "(this build writes v" + std::to_string(report::kSchemaVersion) +
-        ", reads v" + std::to_string(report::kMinReadSchemaVersion) + "-v" +
-        std::to_string(report::kSchemaVersion) +
-        ") — refusing to mix schema versions" + at_byte(0));
-  scan.schema = version;
-  const auto col = [&](const char* key) {
-    for (std::size_t i = 0; i < header.size(); ++i)
-      if (header[i] == key) return i;
-    throw std::runtime_error(std::string("missing CSV column ") + key);
-  };
-  const std::size_t c_schema = col("schema"), c_sweep = col("sweep"),
-                    c_cell = col("cell_index"), c_attack = col("attack"),
-                    c_sched = col("scheduler"), c_hz = col("hz"),
-                    c_seed = col("seed"), c_seed_i = col("seed_index");
-  const bool v3 = version >= 3;
-  const std::size_t c_cpu = v3 ? col("cpu_hz") : 0;
-  const std::size_t c_ram = v3 ? col("ram_frames") : 0;
-  const std::size_t c_reclaim = v3 ? col("reclaim_batch") : 0;
-  const std::size_t c_ptrace = v3 ? col("ptrace") : 0;
-  const std::size_t c_jiffy = v3 ? col("jiffy_timers") : 0;
-  const bool v4 = version >= 4;
-  const std::size_t c_pop = v4 ? col("population") : 0;
-  const std::size_t c_frac = v4 ? col("attacker_fraction") : 0;
-  const std::size_t c_vnice = v4 ? col("victim_nice") : 0;
-  const std::size_t c_anice = v4 ? col("attacker_nice") : 0;
-
   std::uint64_t offset = line.size() + 1;
+  if (header != report::run_schema_keys()) {
+    // Another generation's layout: refuse it by the version its first row
+    // carries, when there is a row to read.
+    const auto schema_col = std::find(header.begin(), header.end(), "schema");
+    if (schema_col != header.end() && std::getline(in, line)) {
+      const std::vector<std::string> row = report::split_csv_line(line);
+      const auto k = static_cast<std::size_t>(schema_col - header.begin());
+      const auto found = k < row.size() ? parse_u64(row[k]) : std::nullopt;
+      if (found && *found != report::kSchemaVersion)
+        refuse_schema(path, 2, offset, *found, report::kSchemaVersion);
+    }
+    throw std::runtime_error(where(path, 1) +
+                             ": CSV header is not the schema v" +
+                             std::to_string(report::kSchemaVersion) +
+                             " run-record layout" + at_byte(0));
+  }
+  const auto col = [&](const char* key) {
+    return static_cast<std::size_t>(
+        std::find(header.begin(), header.end(), key) - header.begin());
+  };
+  const std::size_t c_schema = col("schema"), c_seed = col("seed"),
+                    c_seed_i = col("seed_index");
+  std::vector<std::size_t> coord_cols;
+  report::CellCoords layout;
+  report::for_each_coord(
+      [&](const char* key, auto&) { coord_cols.push_back(col(key)); }, layout);
+
   std::uint64_t line_no = 1;
   scan.valid_bytes = offset;
   scan.header_bytes = offset;
@@ -494,96 +271,37 @@ FileScan scan_csv(const std::string& path) {
            std::to_string(header.size()) + " columns)");
       break;
     }
-    // Strict full-match parsing on every numeric coordinate: a corrupt
+    // Strict full-match parsing of every field the scan keys on: a corrupt
     // row must stop the scan at a named field, not round-trip a mangled
     // value into resume/merge decisions.
-    const auto num = [&](std::size_t c, const char* key) {
-      const std::optional<std::uint64_t> v = parse_u64(row[c]);
-      if (!v)
-        stop(where(path, line_no) + ": field '" + key +
-             "' has non-numeric value '" + row[c] + "'");
-      return v;
+    std::size_t bad = row.size();  // column of the first unparseable field
+    const auto parse = [&](std::size_t i, auto& out) {
+      if (bad == row.size() && !parse_csv_field(row[i], out)) bad = i;
     };
-    const auto schema = num(c_schema, "schema");
-    if (!schema) break;
-    if (*schema < report::kMinReadSchemaVersion ||
-        *schema > report::kSchemaVersion)
-      schema_error(path, line_no, offset, *schema);
-    if (*schema != version)
-      mixed_schema_error(path, line_no, offset, version, *schema);
-    const auto cell_index = num(c_cell, "cell_index");
-    if (!cell_index) break;
-    const auto hz = num(c_hz, "hz");
-    if (!hz) break;
-    const auto seed = num(c_seed, "seed");
-    if (!seed) break;
-    const auto seed_index = num(c_seed_i, "seed_index");
-    if (!seed_index) break;
-
-    RecCoords c;
-    c.cell_index = *cell_index;
-    c.sweep = row[c_sweep];
-    c.attack = row[c_attack];
-    c.scheduler = row[c_sched];
-    c.hz = *hz;
-    if (v3) {
-      const auto cpu_hz = num(c_cpu, "cpu_hz");
-      if (!cpu_hz) break;
-      const auto ram_frames = num(c_ram, "ram_frames");
-      if (!ram_frames) break;
-      const auto reclaim_batch = num(c_reclaim, "reclaim_batch");
-      if (!reclaim_batch) break;
-      c.cpu_hz = *cpu_hz;
-      c.ram_frames = *ram_frames;
-      c.reclaim_batch = *reclaim_batch;
-      c.ptrace = row[c_ptrace];
-      if (row[c_jiffy] != "true" && row[c_jiffy] != "false") {
-        stop(where(path, line_no) +
-             ": field 'jiffy_timers' has non-boolean value '" + row[c_jiffy] +
-             "'");
-        break;
-      }
-      c.jiffy_timers = row[c_jiffy] == "true";
-    }
-    if (v4) {
-      // The nice columns are signed and attacker_fraction is a double, so
-      // they get their own strict parsers beside num()'s parse_u64.
-      const auto population = num(c_pop, "population");
-      if (!population) break;
-      const auto fraction = parse_f64(row[c_frac]);
-      if (!fraction) {
-        stop(where(path, line_no) +
-             ": field 'attacker_fraction' has non-numeric value '" +
-             row[c_frac] + "'");
-        break;
-      }
-      const auto victim_nice = parse_number<std::int64_t>(row[c_vnice]);
-      if (!victim_nice) {
-        stop(where(path, line_no) +
-             ": field 'victim_nice' has non-numeric value '" + row[c_vnice] +
-             "'");
-        break;
-      }
-      const auto attacker_nice = parse_number<std::int64_t>(row[c_anice]);
-      if (!attacker_nice) {
-        stop(where(path, line_no) +
-             ": field 'attacker_nice' has non-numeric value '" + row[c_anice] +
-             "'");
-        break;
-      }
-      c.population = *population;
-      c.attacker_fraction = *fraction;
-      c.victim_nice = *victim_nice;
-      c.attacker_nice = *attacker_nice;
+    std::uint64_t schema = 0;
+    parse(c_schema, schema);
+    if (bad == row.size() && schema != report::kSchemaVersion)
+      refuse_schema(path, line_no, offset, schema, report::kSchemaVersion);
+    report::CellCoords c;
+    std::size_t k = 0;
+    report::for_each_coord(
+        [&](const char*, auto& member) { parse(coord_cols[k++], member); }, c);
+    std::uint64_t seed = 0, seed_index = 0;
+    parse(c_seed, seed);
+    parse(c_seed_i, seed_index);
+    if (bad != row.size()) {
+      stop(where(path, line_no) + ": field '" + header[bad] +
+           "' has invalid value '" + row[bad] + "'");
+      break;
     }
 
-    if (has_open && open.cell_index == c.cell_index) {
-      if (!c.same_cell(open)) {
+    if (has_open && open.coords.cell_index == c.cell_index) {
+      if (c != open.coords) {
         stop(where(path, line_no) + ": conflicting coordinates within cell " +
              std::to_string(c.cell_index));
         break;
       }
-      if (*seed_index != open.seeds.size()) {
+      if (seed_index != open.seeds.size()) {
         stop(where(path, line_no) + ": seed_index discontinuity in cell " +
              std::to_string(c.cell_index));
         break;
@@ -596,19 +314,18 @@ FileScan scan_csv(const std::string& path) {
         scan.blocks.push_back(std::move(open));
       }
       open = CellBlock{};
-      open.schema = *schema;
+      open.coords = c;
       open.first_line = line_no;
-      c.stamp(open);
       has_open = true;
-      if (*seed_index != 0) {
+      if (seed_index != 0) {
         stop(where(path, line_no) + ": rows of cell " +
              std::to_string(c.cell_index) + " start mid-cell");
         has_open = false;
         break;
       }
     }
-    open.seeds.push_back(*seed);
-    open.run_lines.push_back(line);
+    open.seeds.push_back(seed);
+    open.run_lines.push_back(std::move(line));
     open.end_offset = line_end;
     offset = line_end;
   }

@@ -3,19 +3,19 @@
 // (the run records of one grid cell, in JSONL followed by its
 // `record:"cell"` summary), possibly ending in the partial tail a killed
 // sweep left behind. Scanners collect the complete blocks, remember where
-// the valid prefix ends (so resume can truncate the tail away), and reject
-// unsupported or mixed schema versions outright; the current (v4,
-// population axes) and the previous layouts (v3 scenario-axes, v2
-// pre-axes) all scan. Shared by ResumeIndex and mtr_merge.
+// the valid prefix ends (so resume can truncate the tail away), and refuse
+// any record of a schema version other than report::kSchemaVersion — this
+// build reads exactly what it writes. Shared by ResumeIndex, mtr_merge and
+// mtr_inspect.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parse.hpp"
+#include "report/result_sink.hpp"
 
 namespace mtr::dist {
 
@@ -27,26 +27,7 @@ namespace mtr::dist {
 /// (no trailing newline), so consumers that re-emit them preserve the
 /// original bytes exactly.
 struct CellBlock {
-  /// Schema version of the file this block came from (2, 3, or 4).
-  std::uint64_t schema = 0;
-  std::uint64_t cell_index = 0;
-  std::string sweep;
-  std::string attack;
-  std::string scheduler;
-  std::uint64_t hz = 0;
-  // Scenario-axis coordinates; zero/default for v2 blocks (their records
-  // predate the axes).
-  std::uint64_t cpu_hz = 0;
-  std::uint64_t ram_frames = 0;
-  std::uint64_t reclaim_batch = 0;
-  std::string ptrace;
-  bool jiffy_timers = true;
-  // Population-axis coordinates (schema v4); defaults for older blocks.
-  // attacker_fraction compares exactly: %.17g tokens round-trip bit-exact.
-  std::uint64_t population = 1;
-  double attacker_fraction = 0.0;
-  std::int64_t victim_nice = 0;
-  std::int64_t attacker_nice = 0;
+  report::CellCoords coords;
   /// 1-based line number of the block's first run record (error reports).
   std::uint64_t first_line = 0;
   std::vector<std::uint64_t> seeds;    // one per run record, in file order
@@ -62,8 +43,6 @@ struct CellBlock {
 
 struct FileScan {
   std::vector<CellBlock> blocks;  // in file order; only the last may be open
-  /// Schema version every record in the file carries (0: no records seen).
-  std::uint64_t schema = 0;
   /// Offset just past the last closed block (for CSV: at least the header),
   /// i.e. the safe truncation point that drops any partial tail.
   std::uint64_t valid_bytes = 0;
@@ -74,44 +53,33 @@ struct FileScan {
   std::string tail_error;   // why, when !clean
 };
 
-/// Scans a JsonlSink file. Throws std::runtime_error (naming the file and
-/// line) when the file cannot be opened, any record carries a schema
-/// version outside [kMinReadSchemaVersion, kSchemaVersion], or the file
-/// mixes versions; malformed structure instead stops the scan
+/// Scans a JsonlSink file. Throws std::runtime_error when the file cannot
+/// be opened or a record carries a schema version other than
+/// report::kSchemaVersion (see refuse_schema). A line the JSON reader
+/// rejects, or a record missing a field, instead stops the scan
 /// (clean=false) so callers can treat the tail as a crash artifact.
 FileScan scan_jsonl(const std::string& path);
 
-/// Scans a CsvSink file. Throws on open failure, on a header that matches
-/// no supported run_schema_keys() layout, and on schema column mismatches
-/// against the header's version.
+/// Scans a CsvSink file. Throws on open failure, on a header that is not
+/// the run_schema_keys() layout (naming the version of the first row when
+/// it has one), and on rows of another schema version.
 FileScan scan_csv(const std::string& path);
 
-/// Splits one of our one-line JSON objects into key -> raw-token pairs
-/// (string tokens keep their quotes). Returns false on malformed input
-/// (e.g. a truncated tail) instead of throwing.
-bool parse_json_line(const std::string& line,
-                     std::map<std::string, std::string>& out);
+/// Throws the refusal of a record or metrics file written in another
+/// schema generation: "path:line: field 'schema' is vN, but this build
+/// reads and writes v<supported> only (byte offset)".
+[[noreturn]] void refuse_schema(const std::string& path, std::uint64_t line,
+                                std::uint64_t offset, std::uint64_t found,
+                                std::uint64_t supported);
 
-/// Typed readers over parse_json_line tokens; nullopt when the key is
-/// missing or the token has the wrong shape.
-std::optional<std::string> json_string(
-    const std::map<std::string, std::string>& fields, const std::string& key);
-std::optional<std::uint64_t> json_u64(
-    const std::map<std::string, std::string>& fields, const std::string& key);
-std::optional<std::int64_t> json_i64(
-    const std::map<std::string, std::string>& fields, const std::string& key);
-std::optional<double> json_double(
-    const std::map<std::string, std::string>& fields, const std::string& key);
-std::optional<bool> json_bool(const std::map<std::string, std::string>& fields,
-                              const std::string& key);
+/// "cell N [sweep=…, attack=…, scheduler=…, hz=…]" for error reports.
+std::string describe_cell(const report::CellCoords& c);
 
-/// The canonical aggregate keys of a `record:"cell"` line for records of
-/// `version`, in CellStats::for_each_stat order — what mtr_merge
-/// recomputes. v4 added the pop_* summaries; older versions get the list
-/// without them.
-std::vector<std::string> cell_stat_keys(std::uint64_t version);
+/// The canonical aggregate keys of a `record:"cell"` line, in
+/// CellStats::for_each_stat order — what mtr_merge recomputes.
+std::vector<std::string> cell_stat_keys();
 
-/// The v4 distribution aggregates of a cell record as (cell-record key,
+/// The distribution aggregates of a cell record as (cell-record key,
 /// run-record column) pairs in CellStats::for_each_sketch order — e.g.
 /// ("pop_billing_error_dist", "pop_billing_error_sketch"). mtr_merge
 /// decodes the run column of every run, merges, and re-emits the summary.

@@ -10,24 +10,16 @@
 namespace mtr::dist {
 namespace {
 
-std::string describe(const std::string& sweep, const std::string& attack,
-                     const std::string& scheduler, std::uint64_t hz,
-                     std::uint64_t index) {
-  return "cell " + std::to_string(index) + " [sweep=" + sweep +
-         ", attack=" + attack + ", scheduler=" + scheduler +
-         ", hz=" + std::to_string(hz) + "]";
-}
-
-/// Appending v4 records to a v2/v3 file would corrupt it (the CSV header
-/// lacks the newer coordinate columns); refuse with a pointer at the
-/// escape hatches instead of failing later with a confusing mismatch.
-void check_resumable_schema(const std::string& path, const FileScan& scan) {
-  if (scan.schema == 0 || scan.schema == report::kSchemaVersion) return;
-  throw std::runtime_error(
-      path + ": recorded with schema v" + std::to_string(scan.schema) +
-      " but this build appends v" + std::to_string(report::kSchemaVersion) +
-      " records — a cross-version resume would corrupt the file; merge the "
-      "old output with mtr_merge or start the sweep fresh");
+/// Key of the first coordinate where `a` and `b` differ, or nullptr.
+const char* first_difference(const report::CellCoords& a,
+                             const report::CellCoords& b) {
+  const char* differs = nullptr;
+  report::for_each_coord(
+      [&](const char* key, const auto& x, const auto& y) {
+        if (differs == nullptr && x != y) differs = key;
+      },
+      a, b);
+  return differs;
 }
 
 /// Enforces that a block recorded the seed set this invocation sweeps —
@@ -37,8 +29,8 @@ void check_seeds(const std::string& path, const CellBlock& b,
   if (b.seeds == expected) return;
   throw std::runtime_error(
       path + ":" + std::to_string(b.first_line) + ": " +
-      describe(b.sweep, b.attack, b.scheduler, b.hz, b.cell_index) +
-      " was recorded with " + std::to_string(b.seeds.size()) +
+      describe_cell(b.coords) + " was recorded with " +
+      std::to_string(b.seeds.size()) +
       " seed(s) starting at " +
       (b.seeds.empty() ? std::string("?") : std::to_string(b.seeds.front())) +
       " but this invocation sweeps " + std::to_string(expected.size()) +
@@ -66,7 +58,6 @@ ResumeIndex ResumeIndex::scan(const std::string& csv_path,
   if (!jsonl_path.empty() && std::filesystem::exists(jsonl_path)) {
     index.have_jsonl_ = true;
     FileScan scan = scan_jsonl(jsonl_path);
-    check_resumable_schema(jsonl_path, scan);
     for (CellBlock& b : scan.blocks) {
       check_seeds(jsonl_path, b, expected_seeds);
       jsonl_done.push_back(std::move(b));
@@ -75,7 +66,6 @@ ResumeIndex ResumeIndex::scan(const std::string& csv_path,
   if (!csv_path.empty() && std::filesystem::exists(csv_path)) {
     index.have_csv_ = true;
     FileScan scan = scan_csv(csv_path);
-    check_resumable_schema(csv_path, scan);
     // Until a block makes it into the agreed prefix below, only the header
     // is safe to keep — e.g. a corrupt JSONL next to an intact CSV must
     // roll the CSV back too, or the re-run cells would append duplicates.
@@ -119,27 +109,17 @@ ResumeIndex ResumeIndex::scan(const std::string& csv_path,
     const CellBlock& b = primary[i];
     if (index.have_csv_ && index.have_jsonl_) {
       const CellBlock& c = csv_done[i];
-      if (c.cell_index != b.cell_index || c.sweep != b.sweep ||
-          c.attack != b.attack || c.scheduler != b.scheduler || c.hz != b.hz ||
-          c.cpu_hz != b.cpu_hz || c.ram_frames != b.ram_frames ||
-          c.reclaim_batch != b.reclaim_batch || c.ptrace != b.ptrace ||
-          c.jiffy_timers != b.jiffy_timers || c.population != b.population ||
-          c.attacker_fraction != b.attacker_fraction ||
-          c.victim_nice != b.victim_nice || c.attacker_nice != b.attacker_nice)
+      if (const char* field = first_difference(c.coords, b.coords))
         throw std::runtime_error(
             "resume: " + csv_path + ":" + std::to_string(c.first_line) +
             " and " + jsonl_path + ":" + std::to_string(b.first_line) +
             " disagree at block " + std::to_string(i) + " (" +
-            describe(c.sweep, c.attack, c.scheduler, c.hz, c.cell_index) +
-            " vs " + describe(b.sweep, b.attack, b.scheduler, b.hz, b.cell_index) +
-            ") — were they written by the same invocation?");
+            describe_cell(c.coords) + " vs " + describe_cell(b.coords) +
+            ", field '" + field +
+            "' differs) — were they written by the same invocation?");
     }
-    Done done{b.sweep,       b.attack,      b.scheduler,
-              b.ptrace,      b.hz,          b.cpu_hz,
-              b.ram_frames,  b.reclaim_batch, b.jiffy_timers,
-              b.population,  b.attacker_fraction, b.victim_nice,
-              b.attacker_nice, primary_path, b.first_line};
-    index.done_.emplace(b.cell_index, std::move(done));
+    index.done_.emplace(b.coords.cell_index,
+                        Done{b.coords, primary_path, b.first_line});
     if (index.have_jsonl_) index.jsonl_valid_ = b.end_offset;
     if (index.have_csv_) index.csv_valid_ = csv_done[i].end_offset;
   }
@@ -175,35 +155,17 @@ void ResumeIndex::truncate_files() const {
 }
 
 bool ResumeIndex::completed(const report::GridCellInfo& cell) const {
-  const auto it = done_.find(cell.index);
+  const auto it = done_.find(cell.cell_index);
   if (it == done_.end()) return false;
   const Done& d = it->second;
-  // Field-by-field so the error can name exactly what contradicts the
-  // recorded output.
-  const char* mismatch =
-      d.sweep != cell.sweep             ? "sweep"
-      : d.attack != cell.attack         ? "attack"
-      : d.scheduler != cell.scheduler   ? "scheduler"
-      : d.hz != cell.hz                 ? "hz"
-      : d.cpu_hz != cell.cpu_hz         ? "cpu_hz"
-      : d.ram_frames != cell.ram_frames ? "ram_frames"
-      : d.reclaim_batch != cell.reclaim_batch ? "reclaim_batch"
-      : d.ptrace != cell.ptrace         ? "ptrace"
-      : d.jiffy_timers != cell.jiffy_timers ? "jiffy_timers"
-      : d.population != cell.population ? "population"
-      : d.attacker_fraction != cell.attacker_fraction ? "attacker_fraction"
-      : d.victim_nice != cell.victim_nice ? "victim_nice"
-      : d.attacker_nice != cell.attacker_nice ? "attacker_nice"
-                                        : nullptr;
-  if (mismatch != nullptr)
+  // Name exactly which field contradicts the recorded output.
+  if (const char* field = first_difference(d.coords, cell))
     throw std::runtime_error(
         "resume: " + d.path + ":" + std::to_string(d.line) + ": recorded " +
-        describe(d.sweep, d.attack, d.scheduler, d.hz, cell.index) +
-        " but this invocation's grid puts " +
-        describe(cell.sweep, cell.attack, cell.scheduler, cell.hz, cell.index) +
-        " there (field '" + mismatch + "' differs) — resume requires the "
-        "original sweep selection; start fresh or rerun with the original "
-        "arguments");
+        describe_cell(d.coords) + " but this invocation's grid puts " +
+        describe_cell(cell) + " there (field '" + field +
+        "' differs) — resume requires the original sweep selection; start "
+        "fresh or rerun with the original arguments");
   return true;
 }
 

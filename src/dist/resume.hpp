@@ -1,7 +1,6 @@
 // Resumable sweeps: ResumeIndex scans the output a previous (possibly
 // killed) mtr_sweep invocation left behind, identifies the cells that are
-// already complete — full seed set, current schema version, CSV and JSONL
-// agreeing — and lets the driver (1) truncate any partial tail back to the
+// already complete — full seed set, CSV and JSONL agreeing — and lets the driver (1) truncate any partial tail back to the
 // last complete cell and (2) skip completed cells, so appending the rest
 // reproduces the uninterrupted run byte for byte.
 #pragma once
@@ -20,12 +19,11 @@ class ResumeIndex {
  public:
   /// Scans the existing outputs of one sweep invocation. Either path may
   /// be empty (sink not configured) or name a file that does not exist yet
-  /// (fresh start) — both contribute nothing. Throws std::runtime_error on
-  /// a schema-version mismatch (including output recorded with an older
-  /// layout — this build appends v4 records, so v2/v3 files must be merged
-  /// with mtr_merge or restarted, never appended to), when a complete cell
-  /// was recorded with a
-  /// seed set other than `expected_seeds` (resume requires the original
+  /// (fresh start) — both contribute nothing. Throws std::runtime_error
+  /// when either file holds records of another schema version (the
+  /// scanners refuse them: this build appends v4 records and never to an
+  /// older file), when a complete cell was recorded with a seed set other
+  /// than `expected_seeds` (resume requires the original
   /// --seeds/--first-seed), or when the CSV and JSONL disagree about a
   /// cell. When both files exist, only cells complete in BOTH count (a
   /// kill can land between the two sink writes). Zero-byte and header-only
@@ -67,12 +65,7 @@ class ResumeIndex {
 
  private:
   struct Done {
-    std::string sweep, attack, scheduler, ptrace;
-    std::uint64_t hz = 0, cpu_hz = 0, ram_frames = 0, reclaim_batch = 0;
-    bool jiffy_timers = true;
-    std::uint64_t population = 1;
-    double attacker_fraction = 0.0;
-    std::int64_t victim_nice = 0, attacker_nice = 0;
+    report::CellCoords coords;
     /// Where the block was recorded (error reports): path + first line.
     std::string path;
     std::uint64_t line = 0;

@@ -1,5 +1,7 @@
 #include "exec/loader.hpp"
 
+#include <utility>
+
 #include "common/ensure.hpp"
 
 namespace mtr::exec {
@@ -43,14 +45,16 @@ ProgramFactory Loader::build_image(ImageSpec spec) const {
 
     const SymbolTable symbols = registry->resolve_all(spec.imports, spec.needed_libs);
     ProgramBuilder builder = spec.main_program;
-    ProgramFactory main_factory = [builder, symbols]() {
-      return builder(symbols);
-    };
 
+    // Each arm is built in place: moving a std::function through a
+    // temporary variant trips GCC 12's -O2 -Wmaybe-uninitialized.
     std::vector<ChainPhase> phases;
-    phases.push_back(std::move(prologue));
-    phases.push_back(std::move(main_factory));
-    phases.push_back(std::move(epilogue));
+    phases.reserve(3);
+    phases.emplace_back(std::in_place_index<0>, std::move(prologue));
+    phases.emplace_back(std::in_place_index<1>, [builder, symbols]() {
+      return builder(symbols);
+    });
+    phases.emplace_back(std::in_place_index<0>, std::move(epilogue));
     return std::make_unique<ChainProgram>(spec.path, std::move(phases));
   };
 }

@@ -1,6 +1,5 @@
 #include "report/result_sink.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -56,18 +55,14 @@ std::vector<Field> flatten_run(const std::string& sweep,
   const auto u64 = [](std::uint64_t v) { return FieldValue{v}; };
   const auto i64 = [](std::int64_t v) { return FieldValue{v}; };
 
+  const CellCoords coords = record_coords(sweep, cell.cell_index, cell);
+  const auto coord = [&f](const char* key, const auto& v) {
+    f.push_back({key, FieldValue{v}});
+  };
+
   // Record identity + cell coordinates.
   f.push_back({"schema", u64(kSchemaVersion)});
-  f.push_back({"sweep", sweep});
-  f.push_back({"cell_index", u64(cell.cell_index)});
-  f.push_back({"attack", cell.attack_label});
-  f.push_back({"scheduler", std::string(sim::to_string(cell.scheduler))});
-  f.push_back({"hz", u64(cell.hz.v)});
-  f.push_back({"cpu_hz", u64(cell.cpu.v)});
-  f.push_back({"ram_frames", u64(cell.ram.frames)});
-  f.push_back({"reclaim_batch", u64(cell.ram.reclaim_batch)});
-  f.push_back({"ptrace", std::string(kernel::to_string(cell.ptrace))});
-  f.push_back({"jiffy_timers", cell.jiffy_timers});
+  for_each_lead_coord(coord, coords);
   f.push_back({"seed", u64(cell.seeds.at(seed_i))});
   f.push_back({"seed_index", u64(seed_i)});
 
@@ -111,13 +106,8 @@ std::vector<Field> flatten_run(const std::string& sweep,
   f.push_back({"attacker_true_system_cycles", u64(r.attacker_true_cycles.system.v)});
   f.push_back({"attacker_true_seconds", r.attacker_true_seconds});
 
-  // Population metering (schema v4) — appended so every earlier column
-  // keeps its position and v3 content is exactly this record minus the
-  // v4 columns.
-  f.push_back({"population", u64(cell.population)});
-  f.push_back({"attacker_fraction", FieldValue{cell.attacker_fraction}});
-  f.push_back({"victim_nice", i64(cell.nice.victim.v)});
-  f.push_back({"attacker_nice", i64(cell.nice.attacker.v)});
+  // Population metering (schema v4), appended after every older column.
+  for_each_population_coord(coord, coords);
   f.push_back({"pop_tenants", u64(r.pop_tenants)});
   f.push_back({"pop_attackers", u64(r.pop_attackers)});
   f.push_back({"pop_flagged_attackers", u64(r.pop_flagged_attackers)});
@@ -134,49 +124,12 @@ std::vector<Field> flatten_run(const std::string& sweep,
   return f;
 }
 
-const std::vector<std::string>& schema_v3_columns() {
-  static const std::vector<std::string> kColumns = {
-      "cpu_hz", "ram_frames", "reclaim_batch", "ptrace", "jiffy_timers"};
-  return kColumns;
-}
-
-const std::vector<std::string>& schema_v4_columns() {
-  static const std::vector<std::string> kColumns = {
-      "population",
-      "attacker_fraction",
-      "victim_nice",
-      "attacker_nice",
-      "pop_tenants",
-      "pop_attackers",
-      "pop_flagged_attackers",
-      "pop_flagged_honest",
-      "pop_billing_error_mean",
-      "pop_billing_error_p99",
-      "pop_attacker_advantage_mean",
-      "pop_detection_tpr",
-      "pop_detection_fpr",
-      "pop_billing_error_sketch",
-      "pop_billed_sketch",
-      "pop_true_sketch",
-      "pop_advantage_sketch"};
-  return kColumns;
-}
-
-std::vector<std::string> run_schema_keys(std::uint64_t version) {
-  MTR_ENSURE_MSG(version >= kMinReadSchemaVersion && version <= kSchemaVersion,
-                 "unsupported record schema version " << version);
+std::vector<std::string> run_schema_keys() {
   core::CellStats cell;
   cell.seeds = {0};
   cell.runs.emplace_back();
   std::vector<std::string> keys;
   for (Field& f : flatten_run("", cell, 0)) keys.push_back(std::move(f.key));
-  const auto erase_columns = [&](const std::vector<std::string>& cols) {
-    std::erase_if(keys, [&](const std::string& k) {
-      return std::find(cols.begin(), cols.end(), k) != cols.end();
-    });
-  };
-  if (version < 4) erase_columns(schema_v4_columns());
-  if (version < 3) erase_columns(schema_v3_columns());
   return keys;
 }
 
@@ -276,8 +229,8 @@ std::vector<std::string> split_csv_line(const std::string& line) {
   return cells;
 }
 
-void write_csv_header(std::ostream& os, std::uint64_t version) {
-  const std::vector<std::string> keys = run_schema_keys(version);
+void write_csv_header(std::ostream& os) {
+  const std::vector<std::string> keys = run_schema_keys();
   for (std::size_t i = 0; i < keys.size(); ++i)
     os << (i ? "," : "") << csv_escape(keys[i]);
   os << '\n';
@@ -380,20 +333,7 @@ JsonlSink::JsonlSink(std::ostream& os) : os_(&os) {}
 
 CellSummary summarize_cell(const std::string& sweep, const core::CellStats& cell) {
   CellSummary s;
-  s.sweep = sweep;
-  s.cell_index = cell.cell_index;
-  s.attack = cell.attack_label;
-  s.scheduler = sim::to_string(cell.scheduler);
-  s.hz = cell.hz.v;
-  s.cpu_hz = cell.cpu.v;
-  s.ram_frames = cell.ram.frames;
-  s.reclaim_batch = cell.ram.reclaim_batch;
-  s.ptrace = kernel::to_string(cell.ptrace);
-  s.jiffy_timers = cell.jiffy_timers;
-  s.population = cell.population;
-  s.attacker_fraction = cell.attacker_fraction;
-  s.victim_nice = cell.nice.victim.v;
-  s.attacker_nice = cell.nice.attacker.v;
+  s.coords = record_coords(sweep, cell.cell_index, cell);
   s.workload = cell.runs.empty() ? "" : workloads::short_name(cell.runs.front().kind);
   s.seeds = cell.runs.size();
   s.source_ok = cell.all_source_ok();
@@ -407,23 +347,12 @@ CellSummary summarize_cell(const std::string& sweep, const core::CellStats& cell
 }
 
 void write_cell_record(std::ostream& os, const CellSummary& s) {
-  os << "{\"record\":\"cell\",\"schema\":" << s.schema << ",\"sweep\":\""
-     << json_escape(s.sweep) << "\",\"cell_index\":" << s.cell_index
-     << ",\"attack\":\"" << json_escape(s.attack) << "\",\"scheduler\":\""
-     << json_escape(s.scheduler) << "\",\"hz\":" << s.hz;
-  // The scenario-axis coordinates joined the record in schema v3;
-  // mtr_merge re-emits v2 summaries for v2 shard files.
-  if (s.schema >= 3)
-    os << ",\"cpu_hz\":" << s.cpu_hz << ",\"ram_frames\":" << s.ram_frames
-       << ",\"reclaim_batch\":" << s.reclaim_batch << ",\"ptrace\":\""
-       << json_escape(s.ptrace) << "\",\"jiffy_timers\":"
-       << (s.jiffy_timers ? "true" : "false");
-  // The population coordinates joined the record in schema v4.
-  if (s.schema >= 4)
-    os << ",\"population\":" << s.population
-       << ",\"attacker_fraction\":" << fmt_f64(s.attacker_fraction)
-       << ",\"victim_nice\":" << s.victim_nice
-       << ",\"attacker_nice\":" << s.attacker_nice;
+  os << "{\"record\":\"cell\",\"schema\":" << kSchemaVersion;
+  for_each_coord(
+      [&](const char* key, const auto& v) {
+        os << ",\"" << key << "\":" << format_json(FieldValue{v});
+      },
+      s.coords);
   os << ",\"workload\":\"" << json_escape(s.workload) << "\",\"seeds\":" << s.seeds
      << ",\"source_ok\":" << (s.source_ok ? "true" : "false");
   for (const CellStatSummary& st : s.stats) {
@@ -433,17 +362,15 @@ void write_cell_record(std::ostream& os, const CellSummary& s) {
        << ",\"min\":" << fmt_f64(st.stats.min())
        << ",\"max\":" << fmt_f64(st.stats.max()) << '}';
   }
-  // v4 distribution aggregates: quantile summaries of the merged sketches.
+  // Distribution aggregates: quantile summaries of the merged sketches.
   // Derived (not stored) values only — the full sketch lives in the run
   // records, which is what lets mtr_merge recompute this line byte-exactly.
-  if (s.schema >= 4) {
-    for (const auto& [key, sk] : s.sketches) {
-      os << ",\"" << json_escape(key) << "\":{\"n\":" << sk.count()
-         << ",\"min\":" << fmt_f64(sk.min()) << ",\"max\":" << fmt_f64(sk.max())
-         << ",\"p50\":" << fmt_f64(sk.quantile(0.5))
-         << ",\"p90\":" << fmt_f64(sk.quantile(0.9))
-         << ",\"p99\":" << fmt_f64(sk.quantile(0.99)) << '}';
-    }
+  for (const auto& [key, sk] : s.sketches) {
+    os << ",\"" << json_escape(key) << "\":{\"n\":" << sk.count()
+       << ",\"min\":" << fmt_f64(sk.min()) << ",\"max\":" << fmt_f64(sk.max())
+       << ",\"p50\":" << fmt_f64(sk.quantile(0.5))
+       << ",\"p90\":" << fmt_f64(sk.quantile(0.9))
+       << ",\"p99\":" << fmt_f64(sk.quantile(0.99)) << '}';
   }
   os << "}\n";
 }

@@ -24,27 +24,100 @@
 namespace mtr::report {
 
 /// Version stamped into every record (the `schema` column / key). Bump it
-/// whenever a field is added, removed, renamed, or reordered.
+/// whenever a field is added, removed, renamed, or reordered. Sinks write
+/// it and the dist-layer scanners read it; records of any other version
+/// are refused, never converted.
 /// v2: added `cell_index` (invocation-global cell ordinal) to run and cell
 /// records — the merge key for sharded sweeps.
 /// v3: added the scenario-axis coordinates — `cpu_hz`, `ram_frames`,
-/// `reclaim_batch`, `ptrace`, `jiffy_timers` — to run and cell records;
-/// every other column is unchanged, so v2 content is exactly a v3 record
-/// with those columns removed (and the version rewritten).
+/// `reclaim_batch`, `ptrace`, `jiffy_timers` — to run and cell records.
 /// v4: added the population axes — `population`, `attacker_fraction`,
 /// `victim_nice`, `attacker_nice` — plus the per-tenant distribution
 /// columns (`pop_*` scalars and encoded QuantileSketch strings) to run
-/// records and the `pop_*_dist` quantile summaries to cell records. As
-/// with v3, a v3 record is exactly a v4 record with those columns removed.
+/// records and the `pop_*_dist` quantile summaries to cell records.
 inline constexpr std::uint64_t kSchemaVersion = 4;
-/// Oldest schema the dist-layer scanners (mtr_merge) still read. Sinks
-/// always write kSchemaVersion.
-inline constexpr std::uint64_t kMinReadSchemaVersion = 2;
 
-/// The run-record keys v3 added over v2, in emission order.
-const std::vector<std::string>& schema_v3_columns();
-/// The run-record keys v4 added over v3, in emission order.
-const std::vector<std::string>& schema_v4_columns();
+/// The coordinates of one grid cell in record form: the sweep name, the
+/// invocation-global cell index, and every grid axis. Declared once here
+/// and walked by key through the visitors below, so the sink writers, the
+/// scanners, mtr_merge, resume and the cell gate agree on every name,
+/// type and position.
+struct CellCoords {
+  std::string sweep;
+  std::uint64_t cell_index = 0;
+  std::string attack;
+  std::string scheduler;  // sim::to_string form
+  std::uint64_t hz = 0;
+  std::uint64_t cpu_hz = 0;
+  std::uint64_t ram_frames = 0;
+  std::uint64_t reclaim_batch = 0;
+  std::string ptrace;  // kernel::to_string form
+  bool jiffy_timers = true;
+  std::uint64_t population = 1;
+  /// Compares exactly: the %.17g record token round-trips bit-exact.
+  double attacker_fraction = 0.0;
+  std::int64_t victim_nice = 0;
+  std::int64_t attacker_nice = 0;
+
+  friend bool operator==(const CellCoords&, const CellCoords&) = default;
+};
+
+/// Calls f(key, member...) for the coordinates every record leads with,
+/// `sweep` through `jiffy_timers`, in record order. Pass one CellCoords to
+/// read or fill it, or two to walk them side by side.
+template <class F, class... C>
+void for_each_lead_coord(F&& f, C&... c) {
+  f("sweep", c.sweep...);
+  f("cell_index", c.cell_index...);
+  f("attack", c.attack...);
+  f("scheduler", c.scheduler...);
+  f("hz", c.hz...);
+  f("cpu_hz", c.cpu_hz...);
+  f("ram_frames", c.ram_frames...);
+  f("reclaim_batch", c.reclaim_batch...);
+  f("ptrace", c.ptrace...);
+  f("jiffy_timers", c.jiffy_timers...);
+}
+
+/// The same for the population axes. Run records carry them after
+/// `attacker_true_seconds`, cell records straight after `jiffy_timers`.
+template <class F, class... C>
+void for_each_population_coord(F&& f, C&... c) {
+  f("population", c.population...);
+  f("attacker_fraction", c.attacker_fraction...);
+  f("victim_nice", c.victim_nice...);
+  f("attacker_nice", c.attacker_nice...);
+}
+
+/// Every coordinate, in cell-record order.
+template <class F, class... C>
+void for_each_coord(F&& f, C&... c) {
+  for_each_lead_coord(f, c...);
+  for_each_population_coord(f, c...);
+}
+
+/// Record form of a cell's typed coordinates. `Cell` is core::CellStats or
+/// core::GridCellCoords, which name their coordinate members alike.
+template <class Cell>
+CellCoords record_coords(std::string sweep, std::uint64_t cell_index,
+                         const Cell& cell) {
+  CellCoords c;
+  c.sweep = std::move(sweep);
+  c.cell_index = cell_index;
+  c.attack = cell.attack_label;
+  c.scheduler = sim::to_string(cell.scheduler);
+  c.hz = cell.hz.v;
+  c.cpu_hz = cell.cpu.v;
+  c.ram_frames = cell.ram.frames;
+  c.reclaim_batch = cell.ram.reclaim_batch;
+  c.ptrace = kernel::to_string(cell.ptrace);
+  c.jiffy_timers = cell.jiffy_timers;
+  c.population = cell.population;
+  c.attacker_fraction = cell.attacker_fraction;
+  c.victim_nice = cell.nice.victim.v;
+  c.attacker_nice = cell.nice.attacker.v;
+  return c;
+}
 
 /// Compact QuantileSketch serialization for run records:
 /// "count;zero;min;max;pos;neg" where pos/neg are space-separated
@@ -74,10 +147,8 @@ std::vector<Field> flatten_run(const std::string& sweep,
                                std::size_t seed_i);
 
 /// The record's keys in emission order (the CSV header), derived from a
-/// flatten_run of a default-constructed cell. `version` selects the
-/// layout: kSchemaVersion (the default) or kMinReadSchemaVersion (v2 —
-/// what mtr_merge re-emits for v2 shard inputs).
-std::vector<std::string> run_schema_keys(std::uint64_t version = kSchemaVersion);
+/// flatten_run of a default-constructed cell.
+std::vector<std::string> run_schema_keys();
 
 std::string format_csv(const FieldValue& v);
 std::string format_json(const FieldValue& v);
@@ -93,9 +164,8 @@ std::string json_escape(const std::string& s);
 std::vector<std::string> split_csv_line(const std::string& line);
 
 /// Writes the canonical CSV header row (run_schema_keys, escaped). Shared
-/// by CsvSink and mtr_merge so merged files are byte-identical; mtr_merge
-/// passes the shard files' version so v2 inputs merge into a v2 file.
-void write_csv_header(std::ostream& os, std::uint64_t version = kSchemaVersion);
+/// by CsvSink and mtr_merge so merged files are byte-identical.
+void write_csv_header(std::ostream& os);
 
 /// The aggregate half of a `record:"cell"` JSONL line, decoupled from
 /// CellStats so mtr_merge can recompute it from parsed run records.
@@ -104,30 +174,13 @@ struct CellStatSummary {
   RunningStats stats;
 };
 struct CellSummary {
-  /// Emission layout: the scenario-axis keys below are only written for
-  /// schema >= 3 (mtr_merge recomputes v2 summaries for v2 shards).
-  std::uint64_t schema = kSchemaVersion;
-  std::string sweep;
-  std::uint64_t cell_index = 0;
-  std::string attack;
-  std::string scheduler;
-  std::uint64_t hz = 0;
-  std::uint64_t cpu_hz = 0;
-  std::uint64_t ram_frames = 0;
-  std::uint64_t reclaim_batch = 0;
-  std::string ptrace;
-  bool jiffy_timers = true;
-  /// Population coordinates, written for schema >= 4 only.
-  std::uint32_t population = 1;
-  double attacker_fraction = 0.0;
-  std::int64_t victim_nice = 0;
-  std::int64_t attacker_nice = 0;
+  CellCoords coords;
   std::string workload;
   std::uint64_t seeds = 0;
   bool source_ok = true;
   std::vector<CellStatSummary> stats;  // CellStats::for_each_stat order
-  /// v4 distribution aggregates (CellStats::for_each_sketch order),
-  /// rendered as {n, min, max, p50, p90, p99}; schema >= 4 only.
+  /// Distribution aggregates (CellStats::for_each_sketch order), rendered
+  /// as {n, min, max, p50, p90, p99}.
   std::vector<std::pair<std::string, QuantileSketch>> sketches;
 };
 CellSummary summarize_cell(const std::string& sweep, const core::CellStats& cell);
@@ -181,7 +234,7 @@ class ScopedSinkFlushHook {
 
 /// One CSV row per run. The header row is written once per file —
 /// appending to a non-empty file is safe and yields one concatenated
-/// table (the schema column lets readers reject mixed versions).
+/// table (the schema column lets readers refuse other versions).
 class CsvSink final : public ResultSink {
  public:
   explicit CsvSink(const std::string& path, OpenMode mode = OpenMode::kTruncate);

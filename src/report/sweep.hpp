@@ -20,24 +20,9 @@
 
 namespace mtr::report {
 
-/// Identity of one grid cell as a gate sees it, before anything runs.
-/// Mirrors the coordinate columns of a sink record (schema v4).
-struct GridCellInfo {
-  std::uint64_t index = 0;  // invocation-global cell index
-  std::string sweep;
-  std::string attack;
-  std::string scheduler;  // sim::to_string form
-  std::uint64_t hz = 0;
-  std::uint64_t cpu_hz = 0;
-  std::uint64_t ram_frames = 0;
-  std::uint64_t reclaim_batch = 0;
-  std::string ptrace;  // kernel::to_string form
-  bool jiffy_timers = true;
-  std::uint64_t population = 1;
-  double attacker_fraction = 0.0;
-  std::int64_t victim_nice = 0;
-  std::int64_t attacker_nice = 0;
-};
+/// Identity of one grid cell as a gate sees it, before anything runs: the
+/// coordinates its records will carry.
+using GridCellInfo = CellCoords;
 
 /// Decides, in grid order, whether a cell executes. The driver composes
 /// shard ownership and resume skipping into one gate; a gate may throw to

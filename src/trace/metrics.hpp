@@ -118,7 +118,7 @@ struct PoolMetrics {
 
 /// Everything metrics.json records about one sweep: cell/run counts and
 /// wall-clock spread, the summed kernel counters, phase timers, pool
-/// utilization, and (schema v2) the folded run telemetry — gauge series
+/// utilization, and the folded run telemetry — gauge series
 /// plus quantile sketches.
 struct SweepMetrics {
   std::string sweep;
@@ -134,10 +134,10 @@ struct SweepMetrics {
   void merge(const SweepMetrics& o);
 };
 
-/// v2 added the "series" and "sketches" sections; v1 files (without them)
-/// still parse — see dist::read_metrics_json.
+/// The metrics.json version this build writes and the only one
+/// dist::read_metrics_json reads. v2 added the "series" and "sketches"
+/// sections to v1.
 inline constexpr std::uint64_t kMetricsSchemaVersion = 2;
-inline constexpr std::uint64_t kMinMetricsReadSchemaVersion = 1;
 
 /// Writes the metrics.json document: one object with a schema stamp, the
 /// shard count the data covers, and one entry per sweep. Doubles render

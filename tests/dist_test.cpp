@@ -1,14 +1,15 @@
 // Distributed-sweep coverage: shard spec parsing and partition laws, the
 // driver CLI (strict flag parsing, selection errors, sink plumbing,
-// dry-run planning), resume edge cases (partial cell re-run, seed/schema
-// mismatches), mtr_merge (duplicate/conflicting cells, gaps, missing and
-// incomplete shards, the exit-code taxonomy, byte-identity of shard+resume
-// runs against a single-process run), fault injection (plan parsing, crash
-// and flush faults, the SIGKILL watchdog), crash consistency (every torn
-// byte boundary of the final record recovers the complete prefix, v2 and
-// v3), status heartbeats and their shared staleness rule, and the
-// mtr_fleet supervisor (deterministic backoff, chaos-proven byte-identical
-// merges, partial merges with gap manifests, hung-shard kills).
+// dry-run planning), resume edge cases (partial cell re-run, seed and
+// coordinate mismatches), refusal of old-schema records and metrics,
+// mtr_merge (duplicate/conflicting cells, gaps, missing and incomplete
+// shards, the exit-code taxonomy, byte-identity of shard+resume runs
+// against a single-process run), fault injection (plan parsing, crash and
+// flush faults, the SIGKILL watchdog), crash consistency (every torn byte
+// boundary of the final record recovers the complete prefix), status
+// heartbeats and their shared staleness rule, and the mtr_fleet
+// supervisor (deterministic backoff, chaos-proven byte-identical merges,
+// partial merges with gap manifests, hung-shard kills).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,8 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <type_traits>
+#include <utility>
 
 #include <sys/wait.h>
 
@@ -183,104 +186,6 @@ void write_shard_jsonl(const std::string& path,
     sink.write_cell("grid", synth_cell(i, {7, 8}));
 }
 
-/// Strips one `,"key":value` pair from a single-line JSON record. Handles
-/// string, scalar, and one-level `{...}` object values (the per-stat and
-/// pop_*_dist aggregates of cell records).
-void strip_json_key(std::string& line, const std::string& key) {
-  const std::string needle = ",\"" + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return;
-  std::size_t end = at + needle.size();
-  if (line[end] == '"') {
-    end = line.find('"', end + 1) + 1;  // our axis strings never escape
-  } else if (line[end] == '{') {
-    int depth = 1;
-    ++end;
-    while (end < line.size() && depth > 0) {
-      if (line[end] == '{') ++depth;
-      if (line[end] == '}') --depth;
-      ++end;
-    }
-  } else {
-    while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  }
-  line.erase(at, end - at);
-}
-
-/// The `"key":value` pairs schema `from` added over `from - 1`: its run
-/// columns plus, for v4, the cell-record-only pop_*_dist aggregates.
-std::vector<std::string> schema_step_keys(std::uint64_t from) {
-  std::vector<std::string> keys =
-      from == 4 ? report::schema_v4_columns() : report::schema_v3_columns();
-  if (from == 4)
-    for (const char* k : {"pop_billing_error_dist", "pop_billed_dist",
-                          "pop_true_dist", "pop_advantage_dist"})
-      keys.emplace_back(k);
-  return keys;
-}
-
-/// Rewrites sink output as its schema-`to` equivalent by stripping, one
-/// version step at a time, exactly what each newer schema added and
-/// restamping the version. The C++ twin of bench/schema_downgrade.py, used
-/// to fixture cross-version tests.
-std::string downgrade_jsonl(const std::string& text, std::uint64_t to) {
-  std::string current = text;
-  for (std::uint64_t from = report::kSchemaVersion; from > to; --from) {
-    const std::string old_tag = "\"schema\":" + std::to_string(from);
-    const std::string new_tag = "\"schema\":" + std::to_string(from - 1);
-    std::string out;
-    for (std::string line : lines_of(current)) {
-      const std::size_t schema_at = line.find(old_tag);
-      EXPECT_NE(schema_at, std::string::npos) << line;
-      if (schema_at == std::string::npos) return current;
-      line.replace(schema_at, old_tag.size(), new_tag);
-      for (const std::string& key : schema_step_keys(from))
-        strip_json_key(line, key);
-      out += line;
-      out += '\n';
-    }
-    current = std::move(out);
-  }
-  return current;
-}
-
-std::string downgrade_csv(const std::string& text, std::uint64_t to) {
-  std::string current = text;
-  for (std::uint64_t from = report::kSchemaVersion; from > to; --from) {
-    const auto lines = lines_of(current);
-    const std::vector<std::string> header = report::split_csv_line(lines.at(0));
-    const auto extra = schema_step_keys(from);
-    std::vector<std::size_t> keep;
-    std::size_t schema_col = 0;
-    for (std::size_t i = 0; i < header.size(); ++i) {
-      if (header[i] == "schema") schema_col = i;
-      if (std::find(extra.begin(), extra.end(), header[i]) == extra.end())
-        keep.push_back(i);
-    }
-    std::string out;
-    for (std::size_t r = 0; r < lines.size(); ++r) {
-      std::vector<std::string> row = report::split_csv_line(lines[r]);
-      if (r > 0) {
-        EXPECT_EQ(row.at(schema_col), std::to_string(from));
-        row[schema_col] = std::to_string(from - 1);
-      }
-      for (std::size_t i = 0; i < keep.size(); ++i) {
-        if (i) out += ',';
-        out += report::csv_escape(row.at(keep[i]));
-      }
-      out += '\n';
-    }
-    current = std::move(out);
-  }
-  return current;
-}
-
-std::string downgrade_jsonl_v2(const std::string& text) {
-  return downgrade_jsonl(text, 2);
-}
-std::string downgrade_csv_v2(const std::string& text) {
-  return downgrade_csv(text, 2);
-}
 
 TEST(ShardSpecTest, ParsesAndPartitionsDeterministically) {
   const ShardSpec s = parse_shard_spec("1/3");
@@ -584,7 +489,7 @@ TEST(ResumeTest, CoordinateMismatchIsRejected) {
   ASSERT_EQ(index.size(), 1u);
 
   report::GridCellInfo match;
-  match.index = 0;
+  match.cell_index = 0;
   match.sweep = "grid";
   match.attack = "a0";
   match.scheduler = "o1";
@@ -597,7 +502,7 @@ TEST(ResumeTest, CoordinateMismatchIsRejected) {
   EXPECT_TRUE(index.completed(match));
 
   report::GridCellInfo absent = match;
-  absent.index = 7;
+  absent.cell_index = 7;
   EXPECT_FALSE(index.completed(absent));
 
   // Same index, different grid: resuming into foreign output must abort,
@@ -685,25 +590,6 @@ TEST(SweepArgsTest, EnvDefaultsAreStrictToo) {
   ASSERT_EQ(unsetenv("MTR_BENCH_THREADS"), 0);
 }
 
-TEST(RecordsTest, MixedSchemaVersionsAreRejected) {
-  const std::string path = temp_path("dist_schema.jsonl");
-  write_file(path,
-             "{\"record\":\"run\",\"schema\":1,\"sweep\":\"grid\","
-             "\"cell_index\":0,\"attack\":\"a0\",\"scheduler\":\"o1\","
-             "\"hz\":250,\"seed\":7,\"seed_index\":0}\n");
-  EXPECT_THROW(scan_jsonl(path), std::runtime_error);
-  EXPECT_THROW(ResumeIndex::scan("", path, {7, 8}), std::runtime_error);
-  EXPECT_THROW(merge_jsonl({path}), std::runtime_error);
-
-  // A stale CSV header (schema v1 had no cell_index column) is rejected
-  // before any row parses.
-  const std::string csv = temp_path("dist_schema.csv");
-  write_file(csv, "schema,sweep,attack\n1,grid,a0\n");
-  EXPECT_THROW(scan_csv(csv), std::runtime_error);
-  std::filesystem::remove(path);
-  std::filesystem::remove(csv);
-}
-
 TEST(RecordsTest, ScanRecoversCompletePrefixFromKilledFile) {
   const std::string path = temp_path("dist_tail.jsonl");
   write_shard_jsonl(path, {0, 1});
@@ -714,7 +600,7 @@ TEST(RecordsTest, ScanRecoversCompletePrefixFromKilledFile) {
   FileScan scan = scan_jsonl(path);
   EXPECT_FALSE(scan.clean);
   ASSERT_EQ(scan.blocks.size(), 1u);
-  EXPECT_EQ(scan.blocks[0].cell_index, 0u);
+  EXPECT_EQ(scan.blocks[0].coords.cell_index, 0u);
   EXPECT_TRUE(scan.blocks[0].closed);
   // The valid prefix ends exactly where cell 0's block ends.
   const auto lines = lines_of(full);
@@ -931,96 +817,211 @@ TEST(RecordsTest, ScanErrorsNameFileLineAndField) {
       << scan.tail_error;
   EXPECT_NE(scan.tail_error.find("'0x0'"), std::string::npos)
       << scan.tail_error;
+
+  // JSONL lines the reader rejects stop the scan at the first byte of the
+  // line, keeping the complete cell before it: a bad literal, a string
+  // that never closes, a stray '}', and nesting too deep to recurse into.
+  write_shard_jsonl(jsonl, {0, 1});
+  const auto lines = lines_of(read_file(jsonl));
+  ASSERT_EQ(lines.size(), 6u);  // two runs and a summary per cell
+  const std::uint64_t cell0_bytes =
+      lines[0].size() + lines[1].size() + lines[2].size() + 3;
+  const std::string cell0_end = "(byte " + std::to_string(cell0_bytes) + ")";
+  const auto scan_with_line4 = [&](const std::string& replacement) {
+    std::string text;
+    for (std::size_t i = 0; i < lines.size(); ++i)
+      text += (i == 3 ? replacement : lines[i]) + "\n";
+    write_file(jsonl, text);
+    return scan_jsonl(jsonl);
+  };
+  std::string bad_literal = lines[3];
+  const std::size_t jiffy = bad_literal.find("\"jiffy_timers\":true");
+  ASSERT_NE(jiffy, std::string::npos);
+  bad_literal.replace(jiffy, 19, "\"jiffy_timers\":tru");
+  const std::string unterminated =
+      lines[3].substr(0, lines[3].find("\"attack\":\"") + 12);
+  for (const std::string& bad : {bad_literal, unterminated, lines[3] + "}",
+                                 std::string(100000, '[')}) {
+    const FileScan s = scan_with_line4(bad);
+    EXPECT_FALSE(s.clean) << bad.substr(0, 80);
+    EXPECT_EQ(s.blocks.size(), 1u) << s.tail_error;
+    EXPECT_EQ(s.valid_bytes, cell0_bytes) << s.tail_error;
+    EXPECT_NE(s.tail_error.find(jsonl + ":4: unparseable record"),
+              std::string::npos)
+        << s.tail_error;
+    EXPECT_NE(s.tail_error.find(cell0_end), std::string::npos)
+        << s.tail_error;
+  }
+
+  // A record missing any coordinate names it; the names come from the
+  // coordinate table, so none can be left out. In CSV every coordinate
+  // that is not free text is parsed strictly and named the same way.
+  {
+    report::CsvSink sink(csv);
+    sink.write_cell("grid", synth_cell(0, {7, 8}));
+    sink.write_cell("grid", synth_cell(1, {7, 8}));
+  }
+  const auto csv_lines = lines_of(read_file(csv));
+  ASSERT_EQ(csv_lines.size(), 5u);
+  const std::vector<std::string> header = report::split_csv_line(csv_lines[0]);
+  const std::string csv_row3_end =
+      "(byte " +
+      std::to_string(csv_lines[0].size() + csv_lines[1].size() +
+                     csv_lines[2].size() + 3) +
+      ")";
+  report::CellCoords layout;
+  report::for_each_coord(
+      [&](const char* key, auto& member) {
+        const std::string tag = std::string("\"") + key + "\":";
+        std::string renamed = lines[3];
+        const std::size_t at = renamed.find(tag);
+        ASSERT_NE(at, std::string::npos) << key;
+        renamed.replace(at, tag.size(), "\"renamed\":");
+        const FileScan s = scan_with_line4(renamed);
+        EXPECT_EQ(s.valid_bytes, cell0_bytes) << key;
+        EXPECT_NE(s.tail_error.find(jsonl + ":4"), std::string::npos)
+            << s.tail_error;
+        EXPECT_NE(s.tail_error.find(std::string("'") + key + "'"),
+                  std::string::npos)
+            << s.tail_error;
+        EXPECT_NE(s.tail_error.find(cell0_end), std::string::npos)
+            << s.tail_error;
+
+        using T = std::remove_cvref_t<decltype(member)>;
+        if constexpr (!std::is_same_v<T, std::string>) {
+          const std::size_t column = static_cast<std::size_t>(
+              std::find(header.begin(), header.end(), key) - header.begin());
+          ASSERT_LT(column, header.size()) << key;
+          std::vector<std::string> row = report::split_csv_line(csv_lines[3]);
+          row[column] = "x1";
+          std::string text;
+          for (std::size_t i = 0; i < csv_lines.size(); ++i) {
+            if (i == 3) {
+              for (std::size_t c = 0; c < row.size(); ++c)
+                text += (c ? "," : "") + report::csv_escape(row[c]);
+            } else {
+              text += csv_lines[i];
+            }
+            text += '\n';
+          }
+          write_file(csv, text);
+          const FileScan c = scan_csv(csv);
+          EXPECT_FALSE(c.clean) << key;
+          EXPECT_NE(c.tail_error.find(csv + ":4: field '" + key +
+                                      "' has invalid value 'x1'"),
+                    std::string::npos)
+              << c.tail_error;
+          EXPECT_NE(c.tail_error.find(csv_row3_end), std::string::npos)
+              << c.tail_error;
+        }
+      },
+      layout);
   std::filesystem::remove(jsonl);
   std::filesystem::remove(csv);
 }
 
-TEST(MergeTest, V2ShardsMergeByteIdenticallyIntoV2Output) {
-  // Shard outputs written by the previous (pre-scenario-axes) schema still
-  // merge, and the merged file is the byte-identical v2 dataset a v2 build
-  // would have produced — including the recomputed v2 cell summaries and
-  // the v2 CSV header.
-  const std::string root = temp_path("dist_merge_v2");
-  std::filesystem::remove_all(root);
-  std::filesystem::create_directories(root);
-  write_shard_jsonl(root + "/all.jsonl", {0, 1, 2, 3});
-  write_shard_jsonl(root + "/s0.jsonl", {0, 2});
-  write_shard_jsonl(root + "/s1.jsonl", {1, 3});
-  for (const char* name : {"/all.jsonl", "/s0.jsonl", "/s1.jsonl"})
-    write_file(root + name, downgrade_jsonl_v2(read_file(root + name)));
-  EXPECT_EQ(merge_jsonl({root + "/s1.jsonl", root + "/s0.jsonl"}),
-            read_file(root + "/all.jsonl"));
+TEST(RecordsTest, OldSchemaInputIsRefusedNamingFileLineFieldVersionAndByte) {
+  // Only the current schema is read back: the checked-in fig04 outputs of
+  // schema v2 and v3 and a metrics.json v1 are refused, never converted,
+  // by every reader — scanners, resume, and mtr_merge (exit 2, kCorrupt).
+  const auto expect_refusal = [](const std::string& what,
+                                 const std::string& path, std::uint64_t line,
+                                 std::uint64_t version, std::uint64_t byte) {
+    EXPECT_NE(what.find(path + ":" + std::to_string(line) +
+                        ": field 'schema' is v" + std::to_string(version) +
+                        ", but this build reads and writes v"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("(byte " + std::to_string(byte) + ")"),
+              std::string::npos)
+        << what;
+  };
+  const std::string out_dir = temp_path("dist_old_schema");
+  std::filesystem::remove_all(out_dir);
+  const std::string golden = MTR_GOLDEN_DIR;
+  for (const auto& [name, version] :
+       {std::pair<std::string, std::uint64_t>{"fig04_pr4_schema_v2", 2},
+        std::pair<std::string, std::uint64_t>{"fig04_pr9_schema_v3", 3}}) {
+    const std::string jsonl = golden + "/" + name + ".jsonl";
+    const std::string csv = golden + "/" + name + ".csv";
+    // The CSV header is an old layout; the refusal names the version of
+    // the first row, which starts right after it.
+    const std::uint64_t row1 = lines_of(read_file(csv)).at(0).size() + 1;
 
-  {
-    report::CsvSink all(root + "/all.csv");
-    report::CsvSink s0(root + "/s0.csv");
-    report::CsvSink s1(root + "/s1.csv");
-    for (const std::uint64_t i : {0, 2}) s0.write_cell("grid", synth_cell(i, {7, 8}));
-    for (const std::uint64_t i : {1, 3}) s1.write_cell("grid", synth_cell(i, {7, 8}));
-    for (const std::uint64_t i : {0, 1, 2, 3})
-      all.write_cell("grid", synth_cell(i, {7, 8}));
-  }
-  for (const char* name : {"/all.csv", "/s0.csv", "/s1.csv"})
-    write_file(root + name, downgrade_csv_v2(read_file(root + name)));
-  EXPECT_EQ(merge_csv({root + "/s0.csv", root + "/s1.csv"}),
-            read_file(root + "/all.csv"));
-  std::filesystem::remove_all(root);
-}
-
-TEST(MergeTest, MixedSchemaVersionShardsAreRejected) {
-  const std::string root = temp_path("dist_merge_mixed");
-  std::filesystem::remove_all(root);
-  std::filesystem::create_directories(root);
-  write_shard_jsonl(root + "/s0.jsonl", {0});
-  write_shard_jsonl(root + "/s1.jsonl", {1});
-  write_file(root + "/s1.jsonl", downgrade_jsonl(read_file(root + "/s1.jsonl"), 3));
-  try {
-    merge_jsonl({root + "/s0.jsonl", root + "/s1.jsonl"});
-    FAIL() << "expected a mixed-schema error";
-  } catch (const std::runtime_error& e) {
-    // The rejection names both files and both versions (v4 writer next to
-    // a v3 shard).
-    const std::string what = e.what();
-    EXPECT_NE(what.find(root + "/s1.jsonl"), std::string::npos) << what;
-    EXPECT_NE(what.find(root + "/s0.jsonl"), std::string::npos) << what;
-    EXPECT_NE(what.find("schema v3"), std::string::npos) << what;
-    EXPECT_NE(what.find("carries v4"), std::string::npos) << what;
-  }
-  std::filesystem::remove_all(root);
-}
-
-TEST(ResumeTest, OldSchemaOutputIsRefusedWithAPointerAtMerge) {
-  // Appending v4 records to a v2/v3 file would corrupt it: resume must
-  // refuse outright, naming the file and the recorded version, and tell
-  // the operator what to do with the old output.
-  for (const std::uint64_t old_version : {2u, 3u}) {
-    const std::string jsonl = temp_path("dist_resume_old.jsonl");
-    write_shard_jsonl(jsonl, {0});
-    write_file(jsonl, downgrade_jsonl(read_file(jsonl), old_version));
     try {
-      ResumeIndex::scan("", jsonl, {7, 8});
-      FAIL() << "expected a cross-version resume error (v" << old_version
-             << ")";
+      scan_jsonl(jsonl);
+      ADD_FAILURE() << "scan_jsonl accepted " << jsonl;
     } catch (const std::runtime_error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find(jsonl), std::string::npos) << what;
-      EXPECT_NE(what.find("schema v" + std::to_string(old_version)),
-                std::string::npos)
-          << what;
-      EXPECT_NE(what.find("appends v4"), std::string::npos) << what;
-      EXPECT_NE(what.find("mtr_merge"), std::string::npos) << what;
+      expect_refusal(e.what(), jsonl, 1, version, 0);
     }
-    std::filesystem::remove(jsonl);
+    try {
+      scan_csv(csv);
+      ADD_FAILURE() << "scan_csv accepted " << csv;
+    } catch (const std::runtime_error& e) {
+      expect_refusal(e.what(), csv, 2, version, row1);
+    }
+    try {
+      ResumeIndex::scan(csv, jsonl, {42, 43});
+      ADD_FAILURE() << "resume accepted " << jsonl;
+    } catch (const std::runtime_error& e) {
+      expect_refusal(e.what(), jsonl, 1, version, 0);
+    }
 
-    const std::string csv = temp_path("dist_resume_old.csv");
-    {
-      report::CsvSink sink(csv);
-      sink.write_cell("grid", synth_cell(0, {7, 8}));
-    }
-    write_file(csv, downgrade_csv(read_file(csv), old_version));
-    EXPECT_THROW(ResumeIndex::scan(csv, "", {7, 8}), std::runtime_error);
-    std::filesystem::remove(csv);
+    MergeOptions o;
+    o.csv_out = out_dir + "/" + name + ".csv";
+    o.jsonl_out = out_dir + "/" + name + ".jsonl";
+    o.csv_in = {csv};
+    o.jsonl_in = {jsonl};
+    std::ostringstream out, err;
+    EXPECT_EQ(run_merge(o, out, err), static_cast<int>(MergeFault::kCorrupt));
+    expect_refusal(err.str(), csv, 2, version, row1);
+    EXPECT_FALSE(std::filesystem::exists(o.csv_out));
+    o.csv_out.clear();
+    o.csv_in.clear();
+    err.str("");
+    EXPECT_EQ(run_merge(o, out, err), static_cast<int>(MergeFault::kCorrupt));
+    expect_refusal(err.str(), jsonl, 1, version, 0);
+    EXPECT_FALSE(std::filesystem::exists(o.jsonl_out));
   }
+
+  // A CSV header of no known layout and no row to name a version: refused
+  // at the header.
+  const std::string foreign = temp_path("dist_foreign_header.csv");
+  write_file(foreign, "schema,sweep,attack\n");
+  try {
+    scan_csv(foreign);
+    ADD_FAILURE() << "scan_csv accepted " << foreign;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  foreign + ":1: CSV header is not the schema v4 run-record "
+                            "layout (byte 0)"),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove(foreign);
+
+  // A pre-telemetry metrics.json v1; the schema value sits on line 3.
+  const std::string v1 = temp_path("legacy-v1-metrics.json");
+  const std::string doc =
+      "{\n \"record\": \"metrics\",\n \"schema\": 1, \"shards\": 1, "
+      "\"sweeps\": []}\n";
+  write_file(v1, doc);
+  const std::uint64_t schema_at = doc.find("1, \"shards\"");
+  try {
+    read_metrics_json(v1);
+    ADD_FAILURE() << "read_metrics_json accepted " << v1;
+  } catch (const std::runtime_error& e) {
+    expect_refusal(e.what(), v1, 3, 1, schema_at);
+  }
+  MergeOptions m;
+  m.metrics_out = out_dir + "/metrics.json";
+  m.metrics_in = {v1};
+  std::ostringstream out, err;
+  EXPECT_EQ(run_merge(m, out, err), static_cast<int>(MergeFault::kCorrupt));
+  expect_refusal(err.str(), v1, 3, 1, schema_at);
+  EXPECT_FALSE(std::filesystem::exists(m.metrics_out));
+  std::filesystem::remove(v1);
+  std::filesystem::remove_all(out_dir);
 }
 
 TEST(SweepDriverTest, DryRunPlanNamesOpenScenarioAxes) {
@@ -1248,7 +1249,7 @@ TEST(MetricsFoldTest, RunMergeWritesFoldedMetricsOutput) {
   EXPECT_NE(out.str().find("1 sweep metric(s)"), std::string::npos) << out.str();
 }
 
-// --- schema v2 telemetry round trips and v1 compatibility -------------------------
+// --- telemetry round trips ----------------------------------------------------------
 
 namespace {
 
@@ -1295,47 +1296,6 @@ TEST(MetricsFoldTest, TelemetrySectionsRoundTripByteStably) {
   std::ostringstream reemit;
   trace::write_metrics_json(reemit, f.sweeps, f.shards);
   EXPECT_EQ(reemit.str(), read_file(path));
-}
-
-TEST(MetricsFoldTest, V1FilesParseWithEmptyTelemetryAndFoldToV2) {
-  // A pre-telemetry document: no "series"/"sketches" sections.
-  const auto v1 = temp_path("legacy-v1-metrics.json");
-  write_file(v1,
-             "{\"schema\": 1, \"record\": \"metrics\", \"shards\": 1, "
-             "\"sweeps\": [\n"
-             " {\"sweep\": \"fig04\", \"cells\": 2, \"runs\": 6, "
-             "\"cell_wall_seconds\": 1, \"max_cell_seconds\": 0.25,\n"
-             "  \"kernel\": {\"events_popped\": 200, \"idle_leaps\": 0, "
-             "\"running_leaps\": 0, \"ticks_coalesced\": 20, "
-             "\"timer_ticks\": 80, \"charges_enqueued\": 0, "
-             "\"charge_flushes\": 14, \"context_switches\": 0, "
-             "\"stale_events\": 0, \"max_event_queue_depth\": 7},\n"
-             "  \"phases\": [],\n"
-             "  \"pool\": {\"threads\": 2, \"wall_seconds\": 0.5, "
-             "\"busy_seconds\": [0.25, 0.125]}}\n"
-             "]}\n");
-  const MetricsFile f = read_metrics_json(v1);
-  EXPECT_EQ(f.schema, 1u);
-  ASSERT_EQ(f.sweeps.size(), 1u);
-  EXPECT_EQ(f.sweeps[0].kernel.events_popped, 200u);
-  EXPECT_TRUE(f.sweeps[0].telemetry.empty());
-
-  // v1 telemetry is the fold identity: mixing v1 and v2 shards works and
-  // the folded document is stamped with the current schema.
-  const auto v2 =
-      write_metrics_file("legacy-v2-half.json", {telemetry_metrics("fig04")});
-  const MetricsFile folded = fold_metrics({f, read_metrics_json(v2)});
-  EXPECT_EQ(folded.schema, trace::kMetricsSchemaVersion);
-  ASSERT_EQ(folded.sweeps.size(), 1u);
-  EXPECT_EQ(folded.sweeps[0].cells, 4u);
-  EXPECT_EQ(folded.sweeps[0].telemetry.billing_error.count(), 3u);
-
-  // Below the floor is rejected like above the ceiling.
-  const auto v0 = temp_path("legacy-v0-metrics.json");
-  write_file(v0,
-             "{\"schema\": 0, \"record\": \"metrics\", \"shards\": 1, "
-             "\"sweeps\": []}");
-  EXPECT_THROW(read_metrics_json(v0), std::runtime_error);
 }
 
 TEST(MetricsFoldTest, MalformedTelemetrySectionsAreRejectedWithContext) {
@@ -1935,63 +1895,6 @@ TEST(CrashConsistencyTest, EveryTornByteOfTheFinalRecordRecoversThePrefix) {
   std::filesystem::remove_all(root);
 }
 
-/// Leading blocks provably complete against `expected_seeds`, plus the
-/// offset just past the last of them — what a crash-recovery consumer may
-/// keep of a possibly-torn file.
-std::pair<std::size_t, std::uint64_t> complete_prefix(
-    const FileScan& scan, std::size_t expected_seeds) {
-  std::size_t n = 0;
-  std::uint64_t end = scan.header_bytes;
-  for (const CellBlock& b : scan.blocks) {
-    if (!b.closed && b.seeds.size() != expected_seeds) break;
-    end = b.end_offset;
-    ++n;
-  }
-  return {n, end};
-}
-
-TEST(CrashConsistencyTest, SchemaV2FixturesRecoverThePrefixAtEveryCut) {
-  std::atomic<int> runs{0};
-  const report::SweepRegistry registry = counting_registry(&runs);
-  const std::string root = temp_path("dist_torn_v2");
-  std::filesystem::remove_all(root);
-  std::ostringstream out, err;
-  ASSERT_EQ(run_sweeps(registry, grid_options(root + "/ref"), out, err), 0);
-  const std::string v2_csv = downgrade_csv_v2(read_file(root + "/ref/grid.csv"));
-  const std::string v2_jsonl =
-      downgrade_jsonl_v2(read_file(root + "/ref/grid.jsonl"));
-  const std::string csv = root + "/v2.csv";
-  const std::string jsonl = root + "/v2.jsonl";
-
-  // Block layout of the intact v2 files.
-  write_file(csv, v2_csv);
-  write_file(jsonl, v2_jsonl);
-  const FileScan full_csv = scan_csv(csv);
-  const FileScan full_jsonl = scan_jsonl(jsonl);
-  ASSERT_EQ(full_csv.schema, 2u);
-  ASSERT_EQ(full_jsonl.schema, 2u);
-  ASSERT_EQ(complete_prefix(full_csv, 2).first, 4u);
-  ASSERT_EQ(full_jsonl.blocks.size(), 4u);
-  const std::uint64_t csv_prefix = full_csv.blocks.at(2).end_offset;
-  const std::uint64_t jsonl_prefix = full_jsonl.blocks.at(2).end_offset;
-
-  for (std::uint64_t b = 1; b <= v2_jsonl.size() - jsonl_prefix; ++b) {
-    write_file(jsonl, v2_jsonl);
-    chop_bytes(jsonl, b);
-    const FileScan scan = scan_jsonl(jsonl);
-    ASSERT_EQ(scan.blocks.size(), 3u) << "v2 jsonl cut " << b;
-    ASSERT_EQ(scan.valid_bytes, jsonl_prefix) << "v2 jsonl cut " << b;
-  }
-  for (std::uint64_t b = 1; b <= v2_csv.size() - csv_prefix; ++b) {
-    write_file(csv, v2_csv);
-    chop_bytes(csv, b);
-    const auto [cells, end] = complete_prefix(scan_csv(csv), 2);
-    ASSERT_EQ(cells, 3u) << "v2 csv cut " << b;
-    ASSERT_EQ(end, csv_prefix) << "v2 csv cut " << b;
-  }
-  std::filesystem::remove_all(root);
-}
-
 // ---------------------------------------------------------------------------
 // Merge failure taxonomy: exit 2 = corrupt bytes, exit 3 = wrong shard set.
 
@@ -2325,7 +2228,7 @@ TEST(FleetTest, AllowPartialMergesSurvivorsAndWritesTheGapManifest) {
   const FileScan merged = scan_jsonl(root + "/merged/fig04.jsonl");
   EXPECT_TRUE(merged.clean);
   std::vector<std::uint64_t> cells;
-  for (const CellBlock& b : merged.blocks) cells.push_back(b.cell_index);
+  for (const CellBlock& b : merged.blocks) cells.push_back(b.coords.cell_index);
   EXPECT_EQ(cells, (std::vector<std::uint64_t>{0, 1, 3, 4, 5, 7}));
   std::filesystem::remove_all(root);
 }

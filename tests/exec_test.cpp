@@ -67,10 +67,15 @@ TEST(Generator, NulloptEndsProgram) {
 
 TEST(Chain, SwallowsInnerExitAndRunsEpilogue) {
   ProgramFactory inner = make_step_list("inner", {compute(Cycles{1}, "main")});
+  // Arms built in place, as in Loader::build_image (GCC 12 -O2
+  // -Wmaybe-uninitialized fires on moved-through temporaries).
   std::vector<ChainPhase> phases;
-  phases.push_back(std::vector<Step>{compute(Cycles{1}, "prologue")});
-  phases.push_back(std::move(inner));
-  phases.push_back(std::vector<Step>{compute(Cycles{1}, "epilogue")});
+  phases.reserve(3);
+  phases.emplace_back(std::in_place_index<0>,
+                      std::vector<Step>{compute(Cycles{1}, "prologue")});
+  phases.emplace_back(std::in_place_index<1>, std::move(inner));
+  phases.emplace_back(std::in_place_index<0>,
+                      std::vector<Step>{compute(Cycles{1}, "epilogue")});
   ChainProgram p("chain", std::move(phases));
   const auto steps = drain(p);
   ASSERT_EQ(steps.size(), 4u);
@@ -82,8 +87,11 @@ TEST(Chain, SwallowsInnerExitAndRunsEpilogue) {
 
 TEST(Chain, ExplicitExitShortCircuits) {
   std::vector<ChainPhase> phases;
-  phases.push_back(std::vector<Step>{compute(Cycles{1}), exit_step(3)});
-  phases.push_back(std::vector<Step>{compute(Cycles{1}, "never")});
+  phases.reserve(2);
+  phases.emplace_back(std::in_place_index<0>,
+                      std::vector<Step>{compute(Cycles{1}), exit_step(3)});
+  phases.emplace_back(std::in_place_index<0>,
+                      std::vector<Step>{compute(Cycles{1}, "never")});
   ChainProgram p("chain", std::move(phases));
   const auto steps = drain(p);
   ASSERT_EQ(steps.size(), 2u);

@@ -120,36 +120,29 @@ TEST(ResultSinkSchema, KeysAreUniqueAndVersioned) {
       EXPECT_NE(keys[i], keys[j]) << "duplicate column " << keys[i];
 }
 
-TEST(ResultSinkSchema, EachLayoutIsTheNextMinusItsDocumentedColumns) {
-  const auto v4 = run_schema_keys(kSchemaVersion);
-  const auto v3 = run_schema_keys(3);
-  const auto v2 = run_schema_keys(2);
-  ASSERT_EQ(v4.size(), v3.size() + schema_v4_columns().size());
-  ASSERT_EQ(v3.size(), v2.size() + schema_v3_columns().size());
-  // Each older layout is exactly the newer list with the documented
-  // columns removed — the property the schema_downgrade.py CI check and
-  // mtr_merge's old-version outputs both lean on.
-  const auto strip = [](const std::vector<std::string>& keys,
-                        const std::vector<std::string>& extra) {
-    std::vector<std::string> out;
-    for (const std::string& key : keys)
-      if (std::find(extra.begin(), extra.end(), key) == extra.end())
-        out.push_back(key);
-    return out;
+TEST(ResultSinkSchema, CoordinateColumnsFollowTheCellCoordsTable) {
+  const auto keys = run_schema_keys();
+  CellCoords coords;
+  std::vector<std::string> lead, population;
+  for_each_lead_coord([&](const char* key, auto&) { lead.emplace_back(key); },
+                      coords);
+  for_each_population_coord(
+      [&](const char* key, auto&) { population.emplace_back(key); }, coords);
+  ASSERT_EQ(lead.size() + population.size(), 14u);
+  // Run records lead with the schema stamp and the lead coordinates, then
+  // the seed; the population axes follow attacker_true_seconds. The
+  // pinned digests hold both positions fixed.
+  const auto slice = [&](std::size_t from, std::size_t n) {
+    return std::vector<std::string>(keys.begin() + from,
+                                    keys.begin() + from + n);
   };
-  EXPECT_EQ(strip(v4, schema_v4_columns()), v3);
-  EXPECT_EQ(strip(v3, schema_v3_columns()), v2);
-  // The v3 additions sit with the other cell coordinates, before `seed`.
-  const auto at = [&](const std::string& key) {
-    return static_cast<std::size_t>(
-        std::find(v3.begin(), v3.end(), key) - v3.begin());
-  };
-  EXPECT_LT(at("hz"), at("cpu_hz"));
-  EXPECT_LT(at("cpu_hz"), at("ram_frames"));
-  EXPECT_LT(at("ram_frames"), at("reclaim_batch"));
-  EXPECT_LT(at("reclaim_batch"), at("ptrace"));
-  EXPECT_LT(at("ptrace"), at("jiffy_timers"));
-  EXPECT_LT(at("jiffy_timers"), at("seed"));
+  EXPECT_EQ(slice(1, lead.size()), lead);
+  EXPECT_EQ(keys.at(1 + lead.size()), "seed");
+  const std::size_t after = static_cast<std::size_t>(
+      std::find(keys.begin(), keys.end(), "attacker_true_seconds") -
+      keys.begin()) + 1;
+  ASSERT_LT(after, keys.size());
+  EXPECT_EQ(slice(after, population.size()), population);
 }
 
 TEST(SketchCodecTest, EncodeDecodeRoundTripsExactly) {
@@ -338,17 +331,18 @@ TEST(JsonlSinkTest, RoundTripsRunsAndCellSummary) {
   EXPECT_NE(summary.find("\"attacker_true_seconds\":{"), std::string::npos);
 }
 
-TEST(CellRecordTest, V2SummarySkipsTheScenarioAxisKeys) {
-  CellSummary s = summarize_cell("fig07", sample_cell());
-  s.schema = 2;
+TEST(CellRecordTest, PopulationAxesFollowJiffyTimers) {
   std::ostringstream os;
-  write_cell_record(os, s);
+  write_cell_record(os, summarize_cell("fig07", sample_cell()));
   const std::string line = os.str();
-  EXPECT_NE(line.find("\"schema\":2"), std::string::npos);
-  for (const std::string& key : schema_v3_columns())
-    EXPECT_EQ(line.find("\"" + key + "\""), std::string::npos) << key;
-  // Everything else is still there, in the v2 shape.
-  EXPECT_NE(line.find("\"hz\":1000,\"workload\":"), std::string::npos);
+  EXPECT_EQ(line.rfind("{\"record\":\"cell\",\"schema\":4,\"sweep\":\"fig07\",", 0),
+            0u)
+      << line;
+  EXPECT_NE(line.find("\"jiffy_timers\":false,\"population\":"),
+            std::string::npos)
+      << line;
+  EXPECT_NE(line.find(",\"attacker_nice\":0,\"workload\":"), std::string::npos)
+      << line;
 }
 
 TEST(CsvSinkTest, AppendModeWritesHeaderExactlyOnce) {
