@@ -9,7 +9,8 @@
 // boundary of the final record recovers the complete prefix), status
 // heartbeats and their shared staleness rule, and the mtr_fleet
 // supervisor (deterministic backoff, chaos-proven byte-identical merges,
-// partial merges with gap manifests, hung-shard kills).
+// partial merges with gap manifests, hung-shard kills), plus the
+// whole-roster smoke digests in tests/golden/roster_smoke.sha256.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <type_traits>
@@ -26,6 +28,7 @@
 
 #include <sys/wait.h>
 
+#include "crypto/sha256.hpp"
 #include "dist/driver.hpp"
 #include "dist/fault.hpp"
 #include "dist/fleet.hpp"
@@ -2291,6 +2294,44 @@ TEST(FleetTest, StaleHeartbeatGetsTheShardKilledAndReportedAsHung) {
   EXPECT_NE(err.str().find("hung (last heartbeat"), std::string::npos)
       << err.str();
   std::filesystem::remove_all(root);
+}
+
+/// The whole registered roster at smoke scale, pinned byte for byte.
+/// Engine equivalence cannot see a change in the mm, the meters or the
+/// sinks (both engines share them); these digests can. The golden file is
+/// `sha256sum` output, so after an intended output change regenerate it
+/// with `mtr_sweep --all --scale 0.05 --seeds 2 --first-seed 42 --out-dir D`
+/// and `cd D && sha256sum *.csv *.jsonl`, and say why in CHANGES.md.
+TEST(RosterGoldenTest, EverySweepMatchesItsPinnedDigest) {
+  std::map<std::string, std::string> pinned;
+  {
+    std::ifstream in(std::string(MTR_GOLDEN_DIR) + "/roster_smoke.sha256");
+    ASSERT_TRUE(in) << "missing tests/golden/roster_smoke.sha256";
+    std::string line;
+    while (std::getline(in, line)) {
+      ASSERT_GT(line.size(), 66u) << line;
+      pinned[line.substr(66)] = line.substr(0, 64);
+    }
+  }
+  ASSERT_FALSE(pinned.empty());
+
+  const std::string out = temp_path("dist_roster_smoke");
+  std::filesystem::remove_all(out);
+  const std::string cmd = std::string(MTR_SWEEP_BIN) +
+      " --all --scale 0.05 --seeds 2 --first-seed 42 --quiet --no-progress"
+      " --out-dir " + out + " > " + out + ".log 2>&1";
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << read_file(out + ".log");
+
+  std::map<std::string, std::string> actual;
+  for (const auto& e : std::filesystem::directory_iterator(out)) {
+    const std::string ext = e.path().extension().string();
+    if (ext != ".csv" && ext != ".jsonl") continue;
+    const std::string bytes = read_file(e.path().string());
+    actual[e.path().filename().string()] = crypto::to_hex(crypto::sha256(bytes));
+  }
+  EXPECT_EQ(actual, pinned);
+  std::filesystem::remove_all(out);
+  std::filesystem::remove(out + ".log");
 }
 
 #ifdef MTR_FLEET_BIN
