@@ -1,7 +1,8 @@
 // google-benchmark microbenches for the substrate itself: crypto
 // throughput, simulator event rate, scheduler pick cost, meter hook
-// overhead, and end-to-end sweep-cell rates. These are engineering
-// benchmarks (how fast is the simulator), not paper reproductions.
+// overhead, mm fork-child teardown, and end-to-end sweep-cell rates.
+// These are engineering benchmarks (how fast is the simulator), not paper
+// reproductions.
 //
 // The BM_SweepCell_* family is the tracked perf baseline: each iteration
 // runs one BatchRunner-equivalent cell (one run_experiment) of the
@@ -20,6 +21,7 @@
 #include "exec/program_base.hpp"
 #include "kernel/kernel.hpp"
 #include "kernel/o1_scheduler.hpp"
+#include "mm/memory_manager.hpp"
 #include "sim/simulation.hpp"
 #include "workloads/workloads.hpp"
 
@@ -118,6 +120,27 @@ void BM_CfsPickNext(benchmark::State& state) {
   scheduler_pick_bench<kernel::CfsScheduler>(state, CpuHz{});
 }
 BENCHMARK(BM_CfsPickNext);
+
+/// mm teardown under a fork storm: one iteration is one fork child's life
+/// in the memory manager (create its space, fault in 4 pages, destroy it)
+/// beside a resident parent. The cost must not grow with `ram_frames`.
+void BM_MmDestroySpace(benchmark::State& state) {
+  mm::MemoryManager mm(static_cast<std::uint32_t>(state.range(0)));
+  const Tgid parent{1};
+  mm.create_space(parent);
+  for (std::uint64_t p = 0; p < 64; ++p) mm.touch(parent, PageId{p});
+  std::int32_t next = 2;
+  for (auto _ : state) {
+    const Tgid child{next++};
+    mm.create_space(child);
+    for (std::uint64_t p = 0; p < 4; ++p)
+      benchmark::DoNotOptimize(mm.touch(child, PageId{p}));
+    mm.destroy_space(child);
+  }
+  benchmark::DoNotOptimize(mm.frames_used());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MmDestroySpace)->Arg(4096)->Arg(16384)->Arg(65536);
 
 // ---------------------------------------------------------------------------
 // End-to-end sweep-cell benches — the tracked perf baseline.

@@ -51,8 +51,8 @@ const std::vector<kernel::CodeMapping>& SourceIntegrityMonitor::log(Tgid space) 
 void ExecutionIntegrityMonitor::on_step_begin(Cycles, Pid pid, Tgid tgid,
                                               std::string_view kind_name,
                                               std::string_view tag) {
-  pid_to_tgid_[pid] = tgid;
   ThreadChain& tc = threads_[pid];
+  tc.tgid = tgid;
   crypto::Sha256 h;
   h.update(tc.chain.bytes.data(), tc.chain.size());
   h.update(kind_name);
@@ -66,9 +66,8 @@ crypto::Digest32 ExecutionIntegrityMonitor::witness(Tgid tgid) const {
   // Collect per-thread chains belonging to the group and combine them in
   // digest order (scheduling-independent, pid-assignment-independent).
   std::vector<crypto::Digest32> chains;
-  for (const auto& [pid, tc] : threads_) {
-    const auto it = pid_to_tgid_.find(pid);
-    if (it != pid_to_tgid_.end() && it->second == tgid) chains.push_back(tc.chain);
+  for (const ThreadChain& tc : threads_.slots()) {
+    if (tc.steps > 0 && tc.tgid == tgid) chains.push_back(tc.chain);
   }
   std::sort(chains.begin(), chains.end(),
             [](const auto& a, const auto& b) { return a.bytes < b.bytes; });
@@ -79,9 +78,8 @@ crypto::Digest32 ExecutionIntegrityMonitor::witness(Tgid tgid) const {
 
 std::uint64_t ExecutionIntegrityMonitor::step_count(Tgid tgid) const {
   std::uint64_t total = 0;
-  for (const auto& [pid, tc] : threads_) {
-    const auto it = pid_to_tgid_.find(pid);
-    if (it != pid_to_tgid_.end() && it->second == tgid) total += tc.steps;
+  for (const ThreadChain& tc : threads_.slots()) {
+    if (tc.tgid == tgid) total += tc.steps;
   }
   return total;
 }

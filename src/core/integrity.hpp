@@ -20,6 +20,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/id_table.hpp"
 #include "crypto/sha256.hpp"
 #include "kernel/accounting.hpp"
 
@@ -71,10 +72,10 @@ class ExecutionIntegrityMonitor final : public kernel::AccountingHook {
  private:
   struct ThreadChain {
     crypto::Digest32 chain{};  // zero digest = empty chain
-    std::uint64_t steps = 0;
+    std::uint64_t steps = 0;   // 0 = thread never stepped (absent)
+    Tgid tgid;
   };
-  std::unordered_map<Pid, ThreadChain> threads_;
-  std::unordered_map<Pid, Tgid> pid_to_tgid_;
+  IdTable<Pid, ThreadChain> threads_;
 };
 
 }  // namespace mtr::core

@@ -19,8 +19,7 @@
 // simulation yields all three bills for direct comparison.
 #pragma once
 
-#include <unordered_map>
-
+#include "common/id_table.hpp"
 #include "kernel/accounting.hpp"
 
 namespace mtr::core {
@@ -39,7 +38,7 @@ class TickMeter final : public kernel::AccountingHook {
   Ticks idle_ticks() const { return idle_; }
 
  private:
-  std::unordered_map<Tgid, CpuUsageTicks> usage_;
+  IdTable<Tgid, CpuUsageTicks> usage_;
   Ticks idle_{};
 };
 
@@ -55,7 +54,7 @@ class TscMeter final : public kernel::AccountingHook {
   Cycles grand_total() const;
 
  private:
-  std::unordered_map<Tgid, CpuUsageCycles> usage_;
+  IdTable<Tgid, CpuUsageCycles> usage_;
   Cycles idle_{};
 };
 
@@ -74,8 +73,8 @@ class PaisMeter final : public kernel::AccountingHook {
  private:
   Tgid group_of(Pid pid) const;
 
-  std::unordered_map<Pid, Tgid> pid_to_tgid_;
-  std::unordered_map<Tgid, CpuUsageCycles> usage_;
+  IdTable<Pid, Tgid> pid_to_tgid_;  // Tgid{} = never created
+  IdTable<Tgid, CpuUsageCycles> usage_;
   Cycles system_{};
 };
 

@@ -1,5 +1,7 @@
 #include "mm/memory_manager.hpp"
 
+#include <algorithm>
+
 #include "common/ensure.hpp"
 
 namespace mtr::mm {
@@ -21,20 +23,27 @@ AddressSpace& MemoryManager::create_space(Tgid owner) {
 void MemoryManager::destroy_space(Tgid owner) {
   const auto it = spaces_.find(owner);
   MTR_ENSURE_MSG(it != spaces_.end(), "destroying unknown address space " << owner.v);
-  // Release every resident frame owned by this space.
-  for (std::size_t f = 0; f < frame_info_.size(); ++f) {
-    if (frame_info_[f].in_use && frame_info_[f].owner == owner) {
-      frame_info_[f].in_use = false;
-      frames_.release(FrameId{static_cast<std::uint32_t>(f)});
-    }
-  }
-  // Give back swap slots held by pages that died swapped out.
+  // One walk of the dying page table: collect its resident frames and give
+  // back the swap slots of pages that died swapped out.
+  std::vector<FrameId> resident;
+  resident.reserve(it->second->resident_pages());
   for (const auto& [page, pe] : it->second->pages()) {
+    if (pe.resident) {
+      FrameInfo& fi = frame_info_[pe.frame.v];
+      MTR_ENSURE(fi.in_use && fi.owner == owner);
+      fi.in_use = false;
+      resident.push_back(pe.frame);
+    }
     if (pe.in_swap) {
       MTR_ENSURE(swap_used_ > 0);
       --swap_used_;
     }
   }
+  MTR_ENSURE(resident.size() == it->second->resident_pages());
+  // Ascending frame order: the free list is a LIFO stack, so this is the
+  // order that decides which frames the next allocations get.
+  std::sort(resident.begin(), resident.end());
+  for (const FrameId f : resident) frames_.release(f);
   spaces_.erase(it);
   stats_.erase(owner);
 }

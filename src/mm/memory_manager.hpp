@@ -63,6 +63,10 @@ class MemoryManager {
   AddressSpace& create_space(Tgid owner);
 
   /// Tears down a thread group's space, releasing its frames and swap slots.
+  /// Costs O(the space's own page table): the resident frames come from
+  /// its page entries, not from a scan of physical memory. They go back to
+  /// the allocator in ascending frame order, which fixes what the next
+  /// allocations return (the free list is LIFO).
   void destroy_space(Tgid owner);
 
   bool has_space(Tgid owner) const { return spaces_.contains(owner); }

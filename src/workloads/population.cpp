@@ -127,9 +127,14 @@ kernel::ProgramFactory make_tenant_program(const TenantSpec& tenant,
 }
 
 std::string tenant_name(const TenantSpec& tenant) {
-  std::string n = "tenant-" + std::to_string(tenant.index);
-  n += tenant.attacker ? "[atk]"
-                       : "[" + std::string(archetype_name(tenant.archetype)) + "]";
+  // reserve + append, not `"tenant-" + std::to_string(...)`: GCC 12 at -O3
+  // without LTO false-fires -Wrestrict on `const char* + std::string&&`.
+  const std::string index = std::to_string(tenant.index);
+  const std::string_view role =
+      tenant.attacker ? "atk" : archetype_name(tenant.archetype);
+  std::string n;
+  n.reserve(7 + index.size() + 2 + role.size());
+  n.append("tenant-").append(index).append("[").append(role).append("]");
   return n;
 }
 

@@ -9,6 +9,7 @@
 
 #include "common/ensure.hpp"
 #include "common/format.hpp"
+#include "common/id_table.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -82,6 +83,25 @@ TEST(Ensure, ThrowsWithContext) {
 
 TEST(Ensure, PassesSilently) {
   MTR_ENSURE(2 + 2 == 4);  // must not throw
+}
+
+// --- id table -----------------------------------------------------------------
+
+TEST(IdTable, AbsentAndOutOfRangeIdsReadAsDefault) {
+  IdTable<Tgid, CpuUsageTicks> usage;
+  EXPECT_EQ(usage.get(Tgid{0}).total().v, 0u);  // empty table
+  usage[Tgid{3}].utime += Ticks{7};
+  EXPECT_EQ(usage.get(Tgid{3}).utime.v, 7u);
+  EXPECT_EQ(usage.get(Tgid{1}).total().v, 0u);     // absent, below the top id
+  EXPECT_EQ(usage.get(Tgid{1000}).total().v, 0u);  // beyond the table
+  EXPECT_EQ(usage.slots().size(), 4u);             // reads never grow it
+
+  IdTable<Pid, Tgid> group_of;
+  EXPECT_FALSE(group_of.get(Pid{5}).valid());  // T{} is the invalid id
+  group_of[Pid{5}] = Tgid{2};
+  EXPECT_EQ(group_of.get(Pid{5}), Tgid{2});
+  EXPECT_THROW(group_of.get(Pid{}), InvariantError);
+  EXPECT_THROW(group_of[Pid{-3}], InvariantError);
 }
 
 // --- rng ----------------------------------------------------------------------

@@ -900,8 +900,10 @@ TEST(RecordsTest, ScanErrorsNameFileLineAndField) {
           std::string text;
           for (std::size_t i = 0; i < csv_lines.size(); ++i) {
             if (i == 3) {
-              for (std::size_t c = 0; c < row.size(); ++c)
-                text += (c ? "," : "") + report::csv_escape(row[c]);
+              for (std::size_t c = 0; c < row.size(); ++c) {
+                if (c) text += ',';
+                text += report::csv_escape(row[c]);
+              }
             } else {
               text += csv_lines[i];
             }
@@ -2349,6 +2351,11 @@ TEST(FleetTest, CliHelpAndUsageExitCodes) {
 TEST(FleetTest, EndToEndSuiteNeedsTheBenchBinaries) {
   GTEST_SKIP() << "bench binaries not built (MTR_BUILD_BENCH=OFF) — the "
                   "fleet end-to-end suite needs mtr_sweep/mtr_fleet";
+}
+
+TEST(RosterGoldenTest, EverySweepMatchesItsPinnedDigest) {
+  GTEST_SKIP() << "bench binaries not built (MTR_BUILD_BENCH=OFF) — the "
+                  "roster digests need mtr_sweep";
 }
 
 #endif  // MTR_SWEEP_BIN

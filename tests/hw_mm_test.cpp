@@ -1,6 +1,10 @@
 // Hardware-device and memory-management substrate tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <vector>
+
 #include "common/ensure.hpp"
 #include "common/rng.hpp"
 #include "hw/debug_registers.hpp"
@@ -219,6 +223,76 @@ TEST(MemoryManager, DestroyReleasesFramesAndSwap) {
   EXPECT_EQ(mm.frames_used(), 0u);
   EXPECT_EQ(mm.swap_used_pages(), 0u);
   EXPECT_FALSE(mm.has_space(Tgid{1}));
+}
+
+/// Frame of `page` in `owner`'s space (the page must be resident).
+FrameId frame_of(mm::MemoryManager& mm, Tgid owner, std::uint64_t page) {
+  const mm::PageEntry* pe = mm.space(owner).find(PageId{page});
+  MTR_ENSURE(pe != nullptr && pe->resident);
+  return pe->frame;
+}
+
+TEST(MemoryManager, DestroyReleasesInAscendingFrameOrder) {
+  mm::MemoryManager mm(16);
+  // Interleaved first touches: tgid 1 holds frames {0,2,4}, tgid 2 {1,3,5}.
+  mm.create_space(Tgid{1});
+  mm.create_space(Tgid{2});
+  for (std::uint64_t p = 0; p < 3; ++p) {
+    mm.touch(Tgid{1}, PageId{p});
+    mm.touch(Tgid{2}, PageId{p});
+  }
+  mm.destroy_space(Tgid{2});
+  mm.destroy_space(Tgid{1});
+  // The free stack now pops 4,2,0,5,3,1: tgid 3 installs its frames out of
+  // frame order, and its page table is a hash map besides.
+  mm.create_space(Tgid{3});
+  for (std::uint64_t p = 0; p < 6; ++p) mm.touch(Tgid{3}, PageId{100 + 7 * p});
+  std::vector<FrameId> installed;
+  for (std::uint64_t p = 0; p < 6; ++p)
+    installed.push_back(frame_of(mm, Tgid{3}, 100 + 7 * p));
+  ASSERT_EQ(installed, (std::vector<FrameId>{FrameId{4}, FrameId{2}, FrameId{0},
+                                             FrameId{5}, FrameId{3}, FrameId{1}}));
+  mm.destroy_space(Tgid{3});
+  // What the full frame scan gave: frames released 0..5 ascending, so the
+  // LIFO free list hands them back 5..0, then the never-used frame 6.
+  mm.create_space(Tgid{4});
+  std::vector<FrameId> next;
+  for (std::uint64_t p = 0; p < 7; ++p) {
+    mm.touch(Tgid{4}, PageId{p});
+    next.push_back(frame_of(mm, Tgid{4}, p));
+  }
+  EXPECT_EQ(next, (std::vector<FrameId>{FrameId{5}, FrameId{4}, FrameId{3}, FrameId{2},
+                                        FrameId{1}, FrameId{0}, FrameId{6}}));
+}
+
+/// Best of five timings of a fork storm (create, touch 4 pages, destroy)
+/// beside a resident parent, in seconds.
+double fork_storm_seconds(std::uint32_t ram_frames) {
+  mm::MemoryManager mm(ram_frames);
+  mm.create_space(Tgid{1});
+  for (std::uint64_t p = 0; p < 16; ++p) mm.touch(Tgid{1}, PageId{p});
+  double best = 1e9;
+  std::int32_t tgid = 2;
+  for (int rep = 0; rep < 5; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < 2000; ++i, ++tgid) {
+      mm.create_space(Tgid{tgid});
+      for (std::uint64_t p = 0; p < 4; ++p) mm.touch(Tgid{tgid}, PageId{p});
+      mm.destroy_space(Tgid{tgid});
+    }
+    const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
+    best = std::min(best, dt.count());
+  }
+  EXPECT_EQ(mm.frames_used(), 16u);
+  return best;
+}
+
+TEST(MemoryManager, ForkStormCostDoesNotGrowWithRam) {
+  const double small = fork_storm_seconds(1u << 12);
+  const double large = fork_storm_seconds(1u << 20);
+  // A scan of physical memory per exit would make this ~256x.
+  EXPECT_LT(large, 4.0 * small) << "2^12 frames: " << small << " s, 2^20 frames: "
+                                << large << " s";
 }
 
 TEST(MemoryManager, UnknownSpaceRejected) {
