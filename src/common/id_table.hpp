@@ -3,6 +3,12 @@
 // growing on write. The kernel hands out pids 1, 2, 3, ... and never
 // reuses them, so a vector indexed by `id.v` is both the smallest and the
 // fastest map — no hashing, no rehash of a 10^5-entry table mid-storm.
+//
+// This is for hook state, where an id never written reads as T{}. The
+// kernel's own process and group arenas (`procs_`/`groups_`, indexed by
+// v-1) stay separate: they own heap objects whose addresses are handed out
+// and must stay put, and looking up an id they do not hold is a bug there
+// (an ensure), not a default value.
 #pragma once
 
 #include <cstddef>

@@ -10,7 +10,7 @@
 // heartbeats and their shared staleness rule, and the mtr_fleet
 // supervisor (deterministic backoff, chaos-proven byte-identical merges,
 // partial merges with gap manifests, hung-shard kills), plus the
-// whole-roster smoke digests in tests/golden/roster_smoke.sha256.
+// whole-roster smoke digests pinned in mtrbench/digests.json.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -2300,28 +2300,28 @@ TEST(FleetTest, StaleHeartbeatGetsTheShardKilledAndReportedAsHung) {
 
 /// The whole registered roster at smoke scale, pinned byte for byte.
 /// Engine equivalence cannot see a change in the mm, the meters or the
-/// sinks (both engines share them); these digests can. The golden file is
-/// `sha256sum` output, so after an intended output change regenerate it
-/// with `mtr_sweep --all --scale 0.05 --seeds 2 --first-seed 42 --out-dir D`
-/// and `cd D && sha256sum *.csv *.jsonl`, and say why in CHANGES.md.
+/// sinks (both engines share them); these digests can. The pins are the
+/// `roster` workload of the end-to-end benchmark (mtrbench/digests.json:
+/// `mtr_sweep --all --scale 0.05 --seeds 2 --first-seed <seed>`), read
+/// here rather than copied, so one file holds them. After an intended
+/// output change regenerate them with
+/// `python3 mtrbench/run.py --workload roster --record-digests` and say why
+/// in CHANGES.md. Registered as its own ctest entry (roster_golden_test).
 TEST(RosterGoldenTest, EverySweepMatchesItsPinnedDigest) {
+  const json::Value pins = json::parse_document(read_file(MTR_BENCH_DIGESTS));
+  const json::Value& roster =
+      json::get_object(json::get_object(pins, "workloads"), "roster");
   std::map<std::string, std::string> pinned;
-  {
-    std::ifstream in(std::string(MTR_GOLDEN_DIR) + "/roster_smoke.sha256");
-    ASSERT_TRUE(in) << "missing tests/golden/roster_smoke.sha256";
-    std::string line;
-    while (std::getline(in, line)) {
-      ASSERT_GT(line.size(), 66u) << line;
-      pinned[line.substr(66)] = line.substr(0, 64);
-    }
-  }
+  for (const auto& field : roster.fields)
+    pinned[field.first] = json::get_string(roster, field.first);
   ASSERT_FALSE(pinned.empty());
 
   const std::string out = temp_path("dist_roster_smoke");
   std::filesystem::remove_all(out);
   const std::string cmd = std::string(MTR_SWEEP_BIN) +
-      " --all --scale 0.05 --seeds 2 --first-seed 42 --quiet --no-progress"
-      " --out-dir " + out + " > " + out + ".log 2>&1";
+      " --all --scale 0.05 --seeds 2 --first-seed " +
+      std::to_string(json::get_u64(pins, "seed")) +
+      " --quiet --no-progress --out-dir " + out + " > " + out + ".log 2>&1";
   ASSERT_EQ(std::system(cmd.c_str()), 0) << read_file(out + ".log");
 
   std::map<std::string, std::string> actual;
