@@ -1,6 +1,7 @@
 // google-benchmark microbenches for the substrate itself: crypto
-// throughput, simulator event rate, scheduler pick cost, meter hook
-// overhead, mm fork-child teardown, and end-to-end sweep-cell rates.
+// throughput, the witness-chain step, simulator event rate, scheduler pick
+// cost, meter hook overhead, PCB and mm fork-child lifetimes, and
+// end-to-end sweep-cell rates.
 // These are engineering benchmarks (how fast is the simulator), not paper
 // reproductions.
 //
@@ -47,7 +48,27 @@ void BM_Sha256Throughput(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Sha256Throughput)->Arg(64)->Arg(16384);
+// 55 bytes is the longest message that pads into one block: the shape of a
+// witness-chain step (32-byte chain, kind, separator, tag) whose kind and
+// tag total 22 bytes or less.
+BENCHMARK(BM_Sha256Throughput)->Arg(55)->Arg(64)->Arg(16384);
+
+/// One execution-integrity step: extend a thread's witness hash chain, as
+/// the kernel does at every compute step, over rotating pids. The 16-char
+/// tag makes the hashed message 56 bytes, so its padding takes a second
+/// block.
+void BM_WitnessStep(benchmark::State& state) {
+  core::ExecutionIntegrityMonitor monitor;
+  constexpr std::int32_t kThreads = 64;
+  std::int32_t i = 0;
+  for (auto _ : state) {
+    const std::int32_t id = 1 + i++ % kThreads;
+    monitor.on_step_begin(Cycles{0}, Pid{id}, Tgid{id}, "compute", "whetstone.kernel");
+  }
+  benchmark::DoNotOptimize(monitor.witness(Tgid{1}));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WitnessStep);
 
 /// Virtual seconds simulated per real second: boot a machine, run one
 /// Whetstone through the shell, measure wall cost per simulated run.
@@ -120,6 +141,24 @@ void BM_CfsPickNext(benchmark::State& state) {
   scheduler_pick_bench<kernel::CfsScheduler>(state, CpuHz{});
 }
 BENCHMARK(BM_CfsPickNext);
+
+/// A fork child's PCB from birth to destruction: construct it as the
+/// scheduler benches do, queue and drain one piece of kernel work.
+void BM_ProcessLifecycle(benchmark::State& state) {
+  std::int32_t next = 1;
+  for (auto _ : state) {
+    auto p = std::make_unique<kernel::Process>(
+        Pid{next}, Tgid{next}, Pid{}, "p", exec::make_step_list("p", {})(), Nice{0},
+        static_cast<std::uint64_t>(next));
+    ++next;
+    p->kwork.push_back(kernel::KernelWork{Cycles{100}, 0, 0, Pid{}});
+    benchmark::DoNotOptimize(p->kwork.front().remaining);
+    p->kwork.pop_front();
+    benchmark::DoNotOptimize(p.get());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ProcessLifecycle);
 
 /// mm teardown under a fork storm: one iteration is one fork child's life
 /// in the memory manager (create its space, fault in 4 pages, destroy it)

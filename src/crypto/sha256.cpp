@@ -3,6 +3,12 @@
 #include <cstring>
 
 #include "common/ensure.hpp"
+#include "crypto/sha256_compress.hpp"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace mtr::crypto {
 
@@ -43,14 +49,9 @@ void store_be64(std::uint8_t* p, std::uint64_t v) {
 
 }  // namespace
 
-Sha256::Sha256() {
-  static constexpr std::uint32_t kInit[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
-                                             0xa54ff53a, 0x510e527f, 0x9b05688c,
-                                             0x1f83d9ab, 0x5be0cd19};
-  std::memcpy(state_, kInit, sizeof(state_));
-}
+namespace detail {
 
-void Sha256::process_block(const std::uint8_t block[64]) {
+void sha256_compress_portable(std::uint32_t state[8], const std::uint8_t block[64]) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
   for (int i = 16; i < 64; ++i) {
@@ -59,8 +60,8 @@ void Sha256::process_block(const std::uint8_t block[64]) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr32(e, 6) ^ rotr32(e, 11) ^ rotr32(e, 25);
     const std::uint32_t ch = (e & f) ^ (~e & g);
@@ -77,14 +78,120 @@ void Sha256::process_block(const std::uint8_t block[64]) {
     b = a;
     a = t1 + t2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if defined(__x86_64__)
+
+bool sha256_shani_supported() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool ssse3 = (ecx & (1u << 9)) != 0;
+  const bool sse41 = (ecx & (1u << 19)) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool sha = (ebx & (1u << 29)) != 0;
+  return sha && ssse3 && sse41;
+}
+
+namespace {
+
+// State is kept in the register layout SHA256RNDS2 wants: `abef` holds words
+// A, B, E, F and `cdgh` holds C, D, G, H (most significant lane first).
+// Each call below runs four rounds on message words w[4g..4g+3] (in `msg`).
+__attribute__((target("sha,ssse3,sse4.1"))) void rounds4(__m128i& abef, __m128i& cdgh,
+                                                         __m128i msg, int g) {
+  const __m128i wk = _mm_add_epi32(
+      msg, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * g)));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+}
+
+// Message words w[4i..4i+3], byte-swapped from big-endian.
+__attribute__((target("sha,ssse3,sse4.1"))) __m128i load_words(const std::uint8_t* block,
+                                                               int i) {
+  const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  return _mm_shuffle_epi8(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * i)), bswap);
+}
+
+// The next four schedule words from the previous sixteen (w[t-16..t-1] in
+// a, b, c, d): sigma0 and w[t-16] in MSG1, w[t-7] by a 4-byte shift of
+// c:d, sigma1 in MSG2.
+__attribute__((target("sha,ssse3,sse4.1"))) __m128i schedule4(__m128i a, __m128i b,
+                                                              __m128i c, __m128i d) {
+  const __m128i t = _mm_add_epi32(_mm_sha256msg1_epu32(a, b), _mm_alignr_epi8(d, c, 4));
+  return _mm_sha256msg2_epu32(t, d);
+}
+
+}  // namespace
+
+__attribute__((target("sha,ssse3,sse4.1"))) void sha256_compress_shani(
+    std::uint32_t state[8], const std::uint8_t block[64]) {
+  const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  __m128i m0 = load_words(block, 0), m1 = load_words(block, 1),
+          m2 = load_words(block, 2), m3 = load_words(block, 3);
+  rounds4(abef, cdgh, m0, 0);
+  rounds4(abef, cdgh, m1, 1);
+  rounds4(abef, cdgh, m2, 2);
+  rounds4(abef, cdgh, m3, 3);
+  for (int g = 4; g < 16; g += 4) {
+    m0 = schedule4(m0, m1, m2, m3);
+    rounds4(abef, cdgh, m0, g);
+    m1 = schedule4(m1, m2, m3, m0);
+    rounds4(abef, cdgh, m1, g + 1);
+    m2 = schedule4(m2, m3, m0, m1);
+    rounds4(abef, cdgh, m2, g + 2);
+    m3 = schedule4(m3, m0, m1, m2);
+    rounds4(abef, cdgh, m3, g + 3);
+  }
+
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#else
+
+bool sha256_shani_supported() { return false; }
+
+#endif
+
+}  // namespace detail
+
+Sha256::Sha256() {
+  static constexpr std::uint32_t kInit[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                             0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                             0x1f83d9ab, 0x5be0cd19};
+  std::memcpy(state_, kInit, sizeof(state_));
+}
+
+void Sha256::process_block(const std::uint8_t block[64]) {
+#if defined(__x86_64__)
+  static const bool kShaNi = detail::sha256_shani_supported();
+  if (kShaNi) {
+    detail::sha256_compress_shani(state_, block);
+    return;
+  }
+#endif
+  detail::sha256_compress_portable(state_, block);
 }
 
 void Sha256::update(const std::uint8_t* data, std::size_t len) {
@@ -115,16 +222,21 @@ void Sha256::update(std::string_view s) {
 
 Digest32 Sha256::finish() {
   MTR_ENSURE_MSG(!finished_, "Sha256::finish called twice");
-  const std::uint64_t bit_len = total_len_ * 8;
-
-  std::uint8_t pad[72] = {0x80};
-  const std::size_t pad_len = (buffered_ < 56) ? (56 - buffered_) : (120 - buffered_);
-  update(pad, pad_len);
-  std::uint8_t len_bytes[8];
-  store_be64(len_bytes, bit_len);
-  update(len_bytes, 8);
+  // update() never leaves a full buffer behind, so the 0x80 byte fits.
+  MTR_ENSURE(buffered_ < 64);
   finished_ = true;
-  MTR_ENSURE(buffered_ == 0);
+
+  // Padding: 0x80, zeros up to 56 mod 64, then the bit length big-endian.
+  // With more than 55 bytes buffered the length spills into a second block.
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_ + buffered_, 0, 64 - buffered_);
+    process_block(buffer_);
+    buffered_ = 0;
+  }
+  std::memset(buffer_ + buffered_, 0, 56 - buffered_);
+  store_be64(buffer_ + 56, total_len_ * 8);
+  process_block(buffer_);
 
   Digest32 d;
   for (int i = 0; i < 8; ++i) store_be32(d.bytes.data() + 4 * i, state_[i]);

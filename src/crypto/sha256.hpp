@@ -10,7 +10,9 @@
 
 namespace mtr::crypto {
 
-/// Incremental SHA-256 context.
+/// Incremental SHA-256 context. Blocks are compressed with the x86 SHA
+/// extensions when the CPU has them and in portable C++ otherwise; the
+/// digests are the same.
 class Sha256 {
  public:
   Sha256();

@@ -673,20 +673,22 @@ RunStop Kernel::run_current(Cycles boundary) {
 
 bool Kernel::run_kernel_work(Cycles boundary) {
   Process& p = *current_;
-  MTR_ENSURE(!p.kwork.empty());
-  KernelWork& w = p.kwork.front();
+  // A copy: p.kwork may move its entries on push, so no reference into it
+  // is held across charge() and the hooks it runs.
+  const KernelWork w = p.kwork.front();
   const Cycles budget = boundary - now_;
   if (budget.v == 0) return false;
 
   const Cycles slice = std::min(w.remaining, budget);
   charge(&p, static_cast<WorkKind>(w.kind), slice,
          w.beneficiary.valid() ? w.beneficiary : p.pid);
-  w.remaining -= slice;
-  if (w.remaining.v > 0) return false;  // boundary reached mid-work
+  if (slice < w.remaining) {  // boundary reached mid-work
+    p.kwork.front().remaining -= slice;
+    return false;
+  }
 
-  const auto action = static_cast<KernelAction>(w.action);
   p.kwork.pop_front();
-  apply_action(action);
+  apply_action(static_cast<KernelAction>(w.action));
   return true;
 }
 

@@ -2,12 +2,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "hw/debug_registers.hpp"
@@ -119,7 +119,7 @@ class Process {
   /// steps so successive compute chunks sweep onward through the working
   /// set instead of re-touching its head.
   std::uint64_t mem_cursor = 0;
-  std::deque<KernelWork> kwork;      // kernel work queue (front runs first)
+  Fifo<KernelWork> kwork;            // kernel work queue (front runs first)
   std::int64_t last_syscall_result = 0;
   std::optional<SyscallRequest> pending_syscall;  // body semantics to apply
 
@@ -128,7 +128,7 @@ class Process {
   SchedData sched;
 
   // Signals and tracing.
-  std::deque<PendingSignal> pending_signals;
+  Fifo<PendingSignal> pending_signals;
   Pid tracer;                 // invalid if untraced
   std::vector<Pid> tracees;
   bool trace_stopped = false; // stopped via SIGSTOP/SIGTRAP while traced
@@ -137,7 +137,7 @@ class Process {
   // Family.
   std::vector<Pid> children;
   std::vector<Pid> zombies_to_reap;   // children already exited
-  std::deque<Pid> stop_notifications; // stopped tracees/children to report
+  Fifo<Pid> stop_notifications;       // stopped tracees/children to report
 
   // Credentials (coarse root/non-root model; gates renice and ptrace).
   bool privileged = true;

@@ -1,19 +1,48 @@
-// Unit tests for mtr_common: strong types, RNG determinism and
-// distributions, statistics, table/chart rendering, formatting.
+// Unit tests for mtr_common: strong types, the dense id table and the FIFO,
+// RNG determinism and distributions, statistics, table/chart rendering,
+// formatting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 #include <sstream>
 #include <vector>
 
 #include "common/ensure.hpp"
+#include "common/fifo.hpp"
 #include "common/format.hpp"
 #include "common/id_table.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/types.hpp"
+
+// --- counting allocator hook -------------------------------------------------------
+//
+// TU-local replacement of the global allocation functions so the suite can
+// assert that a Fifo allocates nothing on construction and that its storage
+// stops growing. The counter only ever
+// increases; tests snapshot it around the code under scrutiny.
+
+namespace {
+std::atomic<std::uint64_t> g_alloc_calls{0};
+
+void* counted_alloc(std::size_t n) {
+  ++g_alloc_calls;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace mtr {
 namespace {
@@ -102,6 +131,79 @@ TEST(IdTable, AbsentAndOutOfRangeIdsReadAsDefault) {
   EXPECT_EQ(group_of.get(Pid{5}), Tgid{2});
   EXPECT_THROW(group_of.get(Pid{}), InvariantError);
   EXPECT_THROW(group_of[Pid{-3}], InvariantError);
+}
+
+// --- fifo ---------------------------------------------------------------------
+
+TEST(Fifo, OrderUnderInterleavedPushAndPopAndAfterClear) {
+  Fifo<int> q;
+  EXPECT_TRUE(q.empty());
+  std::vector<int> out;
+  int next = 0;
+  // Push 3, pop 2, repeatedly: the queue never drains, so the consumed
+  // prefix is dropped mid-stream as well as when it empties.
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < 3; ++i) q.push_back(next++);
+    for (int i = 0; i < 2; ++i) {
+      out.push_back(q.front());
+      q.pop_front();
+    }
+  }
+  EXPECT_EQ(q.size(), 50u);
+  while (!q.empty()) {
+    out.push_back(q.front());
+    q.pop_front();
+  }
+  ASSERT_EQ(out.size(), 150u);
+  for (int i = 0; i < 150; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], i);
+
+  q.push_back(7);
+  q.push_back(8);
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
+  q.push_back(9);
+  q.push_back(10);
+  EXPECT_EQ(q.front(), 9);
+  q.front() = 11;  // front() is a mutable reference
+  EXPECT_EQ(q.front(), 11);
+  q.pop_front();
+  EXPECT_EQ(q.front(), 10);
+  q.pop_front();
+  EXPECT_TRUE(q.empty());
+  EXPECT_THROW(q.pop_front(), InvariantError);
+  EXPECT_THROW((void)q.front(), InvariantError);
+}
+
+TEST(Fifo, ConstructionAllocatesNothing) {
+  struct Work {
+    std::uint64_t remaining;
+    int action;
+  };
+  const std::uint64_t before = g_alloc_calls.load();
+  {
+    Fifo<Work> a;
+    Fifo<int> b;
+    Fifo<Pid> c;
+    EXPECT_TRUE(a.empty() && b.empty() && c.empty());
+  }
+  EXPECT_EQ(g_alloc_calls.load(), before) << "a Fifo allocated before its first push";
+}
+
+TEST(Fifo, StorageStaysBoundedWithOneEntryAlwaysLive) {
+  // The queue never drains, so only dropping the consumed prefix keeps the
+  // storage from growing; growth would show as reallocations.
+  Fifo<std::uint64_t> q;
+  q.push_back(0);
+  const std::uint64_t before = g_alloc_calls.load();
+  for (std::uint64_t i = 1; i <= 100'000; ++i) {
+    q.push_back(i);
+    ASSERT_EQ(q.front(), i - 1);
+    q.pop_front();
+    ASSERT_EQ(q.size(), 1u);
+  }
+  EXPECT_EQ(q.front(), 100'000u);
+  EXPECT_LE(g_alloc_calls.load() - before, 2u) << "the consumed prefix was never dropped";
 }
 
 // --- rng ----------------------------------------------------------------------
