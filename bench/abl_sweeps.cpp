@@ -53,9 +53,8 @@ void run_abl_cpufreq(const report::SweepContext& ctx) {
                     CpuHz{3'200'000'000}};
 
   ctx.begin_progress("abl_cpufreq", core::grid_cell_count(grid));
-  core::BatchRunner runner(ctx.threads);
   const std::size_t n_seeds = grid.seeds.size();
-  const auto cells = ctx.run_grid("abl_cpufreq", runner, std::move(grid));
+  const auto cells = ctx.run_grid("abl_cpufreq", std::move(grid));
   if (ctx.partial) return;
   render_ablation(
       ctx.os(), "CPU-frequency ablation — scheduling attack vs clock rate",
@@ -80,9 +79,8 @@ void run_abl_ramsize(const report::SweepContext& ctx) {
   grid.ram = {{4 * 1024, 64}, {8 * 1024, 128}, {16 * 1024, 256}};
 
   ctx.begin_progress("abl_ramsize", core::grid_cell_count(grid));
-  core::BatchRunner runner(ctx.threads);
   const std::size_t n_seeds = grid.seeds.size();
-  const auto cells = ctx.run_grid("abl_ramsize", runner, std::move(grid));
+  const auto cells = ctx.run_grid("abl_ramsize", std::move(grid));
   if (ctx.partial) return;
   render_ablation(
       ctx.os(), "RAM-size ablation — exception flooding vs memory pressure",
@@ -114,9 +112,8 @@ void run_abl_ptrace(const report::SweepContext& ctx) {
                           kernel::PtracePolicy::kPrivilegedOnly};
 
   ctx.begin_progress("abl_ptrace", core::grid_cell_count(grid));
-  core::BatchRunner runner(ctx.threads);
   const std::size_t n_seeds = grid.seeds.size();
-  const auto cells = ctx.run_grid("abl_ptrace", runner, std::move(grid));
+  const auto cells = ctx.run_grid("abl_ptrace", std::move(grid));
   if (ctx.partial) return;
   render_ablation(
       ctx.os(), "Ptrace-policy ablation — thrashing attack vs the LSM gate",
@@ -141,9 +138,8 @@ void run_abl_jiffy_timer(const report::SweepContext& ctx) {
   grid.jiffy_timers = {true, false};
 
   ctx.begin_progress("abl_jiffy_timer", core::grid_cell_count(grid));
-  core::BatchRunner runner(ctx.threads);
   const std::size_t n_seeds = grid.seeds.size();
-  const auto cells = ctx.run_grid("abl_jiffy_timer", runner, std::move(grid));
+  const auto cells = ctx.run_grid("abl_jiffy_timer", std::move(grid));
   if (ctx.partial) return;
   render_ablation(
       ctx.os(),

@@ -104,7 +104,6 @@ inline void run_attack_figure(
   const auto& kinds = all_workloads();
   ctx.begin_progress(sweep, kinds.size() * 2);
 
-  core::BatchRunner runner(ctx.threads);
   std::vector<core::CellStats> cells;  // [normal, attacked] per workload
   cells.reserve(kinds.size() * 2);
   for (const auto kind : kinds) {
@@ -118,7 +117,7 @@ inline void run_attack_figure(
     const std::string name = workloads::short_name(kind);
     grid.attacks.push_back({name + " normal", nullptr});
     grid.attacks.push_back({name + " attacked", attack});
-    for (auto& cell : ctx.run_grid(sweep, runner, std::move(grid)))
+    for (auto& cell : ctx.run_grid(sweep, std::move(grid)))
       cells.push_back(std::move(cell));
   }
   if (ctx.partial) return;

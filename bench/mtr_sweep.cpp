@@ -1,5 +1,5 @@
 // mtr_sweep — the sweep-driver CLI. One binary runs any registered
-// figure/table sweep on a BatchRunner worker pool, streams per-cell
+// figure/table sweep on one run queue shared by every grid, streams per-cell
 // results to CSV/JSONL sinks, and reports progress/ETA on stderr. Grids
 // can be split across machines (--shard I/N), killed runs continued
 // (--resume), and the per-shard outputs stitched back with mtr_merge.

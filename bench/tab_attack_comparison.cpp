@@ -22,9 +22,8 @@ void run_tab_attack_comparison(const report::SweepContext& ctx) {
   for (const RosterEntry& e : entries) grid.attacks.push_back({e.label, e.make});
 
   ctx.begin_progress("tab_attack_comparison", grid.attacks.size());
-  core::BatchRunner runner(ctx.threads);
   const std::size_t n_seeds = grid.seeds.size();
-  const auto cells = ctx.run_grid("tab_attack_comparison", runner, std::move(grid));
+  const auto cells = ctx.run_grid("tab_attack_comparison", std::move(grid));
   // The table diffs every attack against the baseline cell, so it needs
   // the full grid — sharded/resumed/dry runs leave rendering to mtr_merge
   // consumers.

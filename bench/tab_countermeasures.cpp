@@ -24,9 +24,8 @@ void run_tab_countermeasures(const report::SweepContext& ctx) {
     grid.attacks.push_back({e.label, e.make});
 
   ctx.begin_progress("tab_countermeasures", grid.attacks.size());
-  core::BatchRunner runner(ctx.threads);
   const std::size_t n_seeds = grid.seeds.size();
-  const auto cells = ctx.run_grid("tab_countermeasures", runner, std::move(grid));
+  const auto cells = ctx.run_grid("tab_countermeasures", std::move(grid));
   // Detection compares every attack cell against the baseline cell
   // replicate-for-replicate, so partial cell sets skip the rendering.
   if (ctx.partial) return;

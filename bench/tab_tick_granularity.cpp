@@ -30,9 +30,8 @@ void run_tab_tick_granularity(const report::SweepContext& ctx) {
                           }});
 
   ctx.begin_progress("tab_tick_granularity", grid.ticks.size());
-  core::BatchRunner runner(ctx.threads);
   const std::size_t n_seeds = grid.seeds.size();
-  const auto cells = ctx.run_grid("tab_tick_granularity", runner, std::move(grid));
+  const auto cells = ctx.run_grid("tab_tick_granularity", std::move(grid));
   if (ctx.partial) return;
 
   std::ostream& os = ctx.os();

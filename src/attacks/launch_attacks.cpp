@@ -40,9 +40,10 @@ void LibraryInterpositionAttack::prepare(sim::Simulation& sim,
   // Fake malloc()/sqrt(): payload first, then forward to the genuine
   // implementation further down the link chain.
   for (const char* symbol : {"malloc", "sqrt"}) {
+    std::string tag = "ldpre_wrap.";
+    tag += symbol;
     exec::LibFunction wrapper;
-    wrapper.body.push_back(
-        compute(per_call_payload_, std::string("ldpre_wrap.") + symbol));
+    wrapper.body.push_back(compute(per_call_payload_, exec::intern_tag(tag)));
     wrapper.forwards = true;
     evil.symbols[symbol] = std::move(wrapper);
   }

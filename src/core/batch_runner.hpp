@@ -3,8 +3,9 @@
 // A BatchGrid names the sweep axes of the paper's tables and ablations —
 // attack x scheduler x tick granularity plus the scenario axes (CPU
 // frequency, RAM size / reclaim batch, ptrace policy, jiffy-resolution
-// timers) — and BatchRunner fans the cross product across a std::thread
-// pool. Each run builds its own Simulation (run_experiment is
+// timers) — and a RunQueue fans the cross product of one or many grids
+// across persistent worker threads (BatchRunner runs a single grid on a
+// private queue). Each run builds its own Simulation (run_experiment is
 // self-contained), each cell derives its kernel seeds deterministically
 // from the grid seed and the cell coordinates, and cells are aggregated
 // and emitted in grid order — so the output is bit-identical for any
@@ -13,10 +14,14 @@
 // identical to a grid without the axis.
 #pragma once
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "attacks/attack.hpp"
@@ -113,7 +118,7 @@ struct GridCellIndices {
 
 /// Normalized per-axis extents of a grid (empty axes count 1) and the cell
 /// index arithmetic over them — the single geometry seam shared by
-/// grid_cell_count, grid_cell_coords, and BatchRunner::run, so a
+/// grid_cell_count, grid_cell_coords, and the RunQueue, so a
 /// cell_filter built against a raw grid can never disagree with the
 /// runner's own numbering.
 struct GridGeometry {
@@ -219,7 +224,7 @@ struct CellStats {
 
   /// Visits every accumulator as f(name, stats, get) where `get` extracts
   /// the value one run contributes. The single source of truth tying the
-  /// member list to aggregation (BatchRunner) and serialization
+  /// member list to aggregation (RunQueue) and serialization
   /// (JsonlSink) — add new accumulators here and every consumer follows.
   template <typename F>
   void for_each_stat(F&& f) {
@@ -309,10 +314,10 @@ struct CellStats {
 /// the callback observes strictly increasing indices regardless of which
 /// worker finished the cell's last run — late cells are buffered until
 /// every earlier cell has been handled. A cell whose run threw is skipped
-/// (leaving a gap in the indices); the sweep still finishes and rethrows
-/// with that cell's coordinates after the workers join. Cells excluded by
-/// BatchGrid::cell_filter also leave gaps: `index` and `total` always
-/// describe the full grid, not the filtered subset.
+/// (leaving a gap in the indices); the grid still finishes and rethrows
+/// with that cell's coordinates once all of its runs are done. Cells
+/// excluded by BatchGrid::cell_filter also leave gaps: `index` and `total`
+/// always describe the full grid, not the filtered subset.
 struct CellEvent {
   std::size_t index = 0;      // grid-order cell index
   std::size_t total = 0;      // cells in this grid
@@ -322,18 +327,18 @@ struct CellEvent {
   /// lines print exactly the axes this grid opens.
   GridGeometry geometry;
   const CellStats& cell;
-  /// Per-worker busy seconds so far this invocation (one slot per pool
-  /// thread) — a stable snapshot: the callback runs under the emission
-  /// lock, and workers update their slot under the same lock. Null when
-  /// the runner has no live snapshot to offer.
+  /// Per-worker busy seconds so far in the run queue's life (one slot per
+  /// worker started), over every grid it ran — a snapshot taken when the
+  /// cell was emitted. Null when there is no snapshot to offer.
   const std::vector<double>* worker_busy = nullptr;
-  /// Wall seconds since this runner invocation started.
+  /// Wall seconds since the run queue was created.
   double pool_elapsed_seconds = 0.0;
 };
 
-/// Per-cell completion hook; invoked serially (under the runner's emission
-/// lock). A throwing callback is treated like a failed run: the sweep
-/// finishes and the exception is rethrown with the cell's coordinates.
+/// Per-cell completion hook; invoked serially on the thread that drains
+/// the grid, never on a worker. A throwing callback is treated like a
+/// failed run: the grid finishes and the exception is rethrown with the
+/// cell's coordinates.
 using CellCallback = std::function<void(const CellEvent&)>;
 
 /// Derives the kernel seed for one run: a splitmix64 mix of the grid seed
@@ -352,6 +357,68 @@ std::uint64_t cell_seed(std::uint64_t grid_seed, std::size_t attack_i,
 /// Convenience over decomposed cell indices (see GridGeometry::coords).
 std::uint64_t cell_seed(std::uint64_t grid_seed, const GridCellIndices& ix);
 
+/// A pool of persistent workers shared by any number of grids. Workers
+/// claim runs first-in first-out across every submitted grid, so a grid's
+/// stragglers overlap the next grid's runs instead of idling the pool
+/// behind a barrier. Each grid's cells are still aggregated and emitted in
+/// grid order, by whoever drains it, so the output is bit-identical for any
+/// thread count and any interleaving of grids.
+///
+/// Workers start lazily, on the first submitted run, up to
+/// min(threads, runs submitted so far): a queue that only ever sees empty
+/// grids starts no thread. Destroying the queue drops every unclaimed run
+/// and joins the workers once their in-flight runs finish.
+class RunQueue {
+ public:
+  using Ticket = std::size_t;
+
+  /// `threads` == 0 picks std::thread::hardware_concurrency().
+  explicit RunQueue(unsigned threads = 0);
+  ~RunQueue();
+  RunQueue(const RunQueue&) = delete;
+  RunQueue& operator=(const RunQueue&) = delete;
+
+  unsigned threads() const { return threads_; }
+
+  /// Queues every run of the grid's admitted cells behind the runs already
+  /// queued; workers may start on them at once. Returns the ticket to
+  /// drain the grid with.
+  Ticket submit(const BatchGrid& grid);
+
+  /// Blocks until the ticket's grid is done, emitting its cells through
+  /// `on_cell` in grid order as they complete (on the calling thread), and
+  /// returns one CellStats per admitted cell in attack-major grid order.
+  /// If any run of the grid throws, the first failure in work order is
+  /// rethrown once all of the grid's runs are done, wrapped in a
+  /// std::runtime_error naming the failing cell's coordinates (attack,
+  /// scheduler, hz, seed). `pool`, when non-null, accumulates this grid's
+  /// share of the pool: the busy seconds of its own runs per worker and
+  /// the wall time from its first run claimed to its last run finished.
+  /// Each ticket drains once.
+  std::vector<CellStats> drain(Ticket ticket, const CellCallback& on_cell = {},
+                               trace::PoolMetrics* pool = nullptr);
+
+ private:
+  struct Job;
+
+  void work(unsigned worker);
+
+  unsigned threads_;
+  std::chrono::steady_clock::time_point created_;
+  // Everything below is guarded by mutex_. Releasing/acquiring it also
+  // publishes each worker's result writes to the draining thread.
+  std::mutex mutex_;
+  std::condition_variable work_ready_;  // workers: a run is claimable, or stop
+  std::condition_variable run_done_;    // drainers: a cell finished
+  std::vector<std::unique_ptr<Job>> jobs_;  // by ticket; null once drained
+  std::size_t claim_ = 0;           // first job that may have unclaimed runs
+  std::size_t runs_submitted_ = 0;
+  std::vector<double> busy_;        // per worker, over every job
+  bool stopping_ = false;
+  std::vector<std::thread> workers_;
+};
+
+/// Runs one grid on a private RunQueue: submit, then drain.
 class BatchRunner {
  public:
   /// `threads` == 0 picks std::thread::hardware_concurrency().
@@ -359,16 +426,8 @@ class BatchRunner {
 
   unsigned threads() const { return threads_; }
 
-  /// Runs the grid; returns one CellStats per axis combination
-  /// in attack-major grid order, restricted to the cells
-  /// admitted by `grid.cell_filter` (all of them when the filter is null).
-  /// `on_cell`, when set, streams each admitted cell as soon as it and all
-  /// earlier admitted cells are complete. If any experiment throws, the
-  /// first exception (in work order) is rethrown after all workers join,
-  /// wrapped in a std::runtime_error naming the failing cell's coordinates
-  /// (attack, scheduler, hz, seed).
-  /// `pool`, when non-null, accumulates thread-pool utilization for this
-  /// invocation (thread count, wall time, per-worker busy seconds).
+  /// RunQueue::submit + RunQueue::drain on a queue of `threads()` workers
+  /// that lives for this call; see RunQueue::drain for the contract.
   std::vector<CellStats> run(const BatchGrid& grid,
                              const CellCallback& on_cell = {},
                              trace::PoolMetrics* pool = nullptr) const;

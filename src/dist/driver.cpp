@@ -1,5 +1,6 @@
 #include "dist/driver.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -52,7 +53,8 @@ constexpr const char* kUsage =
     "  --status-file PATH rewrite PATH (atomic rename) after every cell\n"
     "                     with a JSON heartbeat: cells done/total, elapsed,\n"
     "                     ETA, per-worker busy fractions\n"
-    "  --threads N        BatchRunner worker pool (default MTR_BENCH_THREADS)\n"
+    "  --threads N        worker threads of the run queue all selected\n"
+    "                     sweeps share (default MTR_BENCH_THREADS)\n"
     "  --seeds N          replicate seeds per cell (default MTR_BENCH_SEEDS)\n"
     "  --first-seed S     first replicate seed (default 42)\n"
     "  --scale X          workload scale (default MTR_BENCH_SCALE)\n"
@@ -353,87 +355,151 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
   // stream.
   if (options.quiet) progress.set_per_cell(false);
 
-  std::vector<trace::SweepMetrics> all_metrics;
-
-  for (const report::SweepSpec* spec : selected) {
-    ResumeIndex sweep_resume;
+  // What the plan pass learns about each sweep and the replay uses. Sized
+  // once: the gates point into it.
+  struct SweepState {
+    std::string dir_csv, dir_jsonl;  // --out-dir files
+    ResumeIndex own_resume;          // --out-dir resume index
     const ResumeIndex* resume = nullptr;
-    const std::filesystem::path dir(options.out_dir);
-    const std::string dir_csv =
-        options.out_dir.empty() ? "" : (dir / (spec->name + ".csv")).string();
-    const std::string dir_jsonl =
-        options.out_dir.empty() ? "" : (dir / (spec->name + ".jsonl")).string();
-    if (options.resume && shared_sinks) {
-      resume = &shared_resume;
-    } else if (options.resume) {
-      std::optional<std::uint64_t> cap;
-      if (want_metrics) {
-        const trace::SweepMetrics* base = base_for(spec->name);
-        cap = base != nullptr ? base->cells : 0;
+    trace::SweepMetrics metrics;
+  };
+  std::vector<SweepState> states(selected.size());
+
+  // One run queue for the whole invocation. The plan pass walks every body
+  // once, the way --dry-run does, and submits each admitted grid, so the
+  // workers start at once and run straight across grid and sweep
+  // boundaries; the replay pass below drains the grids in plan order and
+  // writes every output exactly as a grid-at-a-time run would. --dry-run
+  // plans only and starts no worker.
+  std::optional<report::GridPlan> queue;
+  if (!options.dry_run) queue.emplace(options.threads);
+
+  // Plan pass. A failure here is deferred to the replay, which writes
+  // every sweep before the failing one and rethrows at the same point.
+  std::size_t planned = 0;  // sweeps planned in full
+  bool failed_in_body = false;
+  for (; planned < selected.size(); ++planned) {
+    const report::SweepSpec* spec = selected[planned];
+    SweepState& st = states[planned];
+    try {
+      const std::filesystem::path dir(options.out_dir);
+      if (!options.out_dir.empty()) {
+        st.dir_csv = (dir / (spec->name + ".csv")).string();
+        st.dir_jsonl = (dir / (spec->name + ".jsonl")).string();
       }
-      sweep_resume = ResumeIndex::scan(dir_csv, dir_jsonl, options.seeds, cap);
-      if (sweep_resume.metrics_overrun())
-        err << "mtr_sweep: resume: " << spec->name
-            << ": metrics snapshot is ahead of the records — rerunning "
-               "against a fresh fold\n";
-      if (!options.dry_run) sweep_resume.truncate_files();
-      if (sweep_resume.size() > 0)
-        err << "mtr_sweep: resume: " << spec->name << ": " << sweep_resume.size()
-            << " cell(s) already complete\n";
-      resume = &sweep_resume;
+      if (options.resume && shared_sinks) {
+        st.resume = &shared_resume;
+      } else if (options.resume) {
+        std::optional<std::uint64_t> cap;
+        if (want_metrics) {
+          const trace::SweepMetrics* base = base_for(spec->name);
+          cap = base != nullptr ? base->cells : 0;
+        }
+        st.own_resume =
+            ResumeIndex::scan(st.dir_csv, st.dir_jsonl, options.seeds, cap);
+        if (st.own_resume.metrics_overrun())
+          err << "mtr_sweep: resume: " << spec->name
+              << ": metrics snapshot is ahead of the records — rerunning "
+                 "against a fresh fold\n";
+        if (!options.dry_run) st.own_resume.truncate_files();
+        if (st.own_resume.size() > 0)
+          err << "mtr_sweep: resume: " << spec->name << ": "
+              << st.own_resume.size() << " cell(s) already complete\n";
+        st.resume = &st.own_resume;
+      }
+
+      report::SweepContext ctx;
+      ctx.scale = options.scale;
+      ctx.seeds = options.seeds;
+      ctx.event_driven = options.event_driven;
+      ctx.sink = &null_sink;
+      ctx.out = &null_stream();
+      ctx.cell_cursor = &cell_cursor;
+      ctx.owned_cursor = &owned_cursor;
+      ctx.dry_run = options.dry_run;
+      ctx.partial = true;  // a plan renders nothing
+      ctx.plan = options.dry_run ? &out : nullptr;
+      ctx.trace_dir = options.dry_run ? std::string() : options.trace_dir;
+      // Only read for "collect kernel counters"; the replay folds into it.
+      ctx.metrics = want_metrics ? &st.metrics : nullptr;
+      ctx.queue = queue ? &*queue : nullptr;
+      if (options.shard.sharded() || st.resume != nullptr) {
+        const ShardSpec shard = options.shard;
+        ctx.gate = [shard, resume = st.resume](const report::GridCellInfo& cell) {
+          if (!shard.owns(cell.cell_index)) return false;
+          if (resume != nullptr && resume->completed(cell)) return false;
+          return true;
+        };
+      }
+      failed_in_body = true;
+      spec->run(ctx);
+      failed_in_body = false;
+    } catch (...) {
+      if (!queue) throw;
+      queue->plan_error = std::current_exception();
+      break;
     }
+  }
+
+  std::vector<trace::SweepMetrics> all_metrics;
+  if (queue) {
+    queue->replaying = true;
+    cell_cursor = 0;  // the replay claims the same ranges again
+  }
+  const std::size_t n_replay =
+      !queue ? 0 : std::min(selected.size(), planned + 1);
+  for (std::size_t i = 0; i < n_replay; ++i) {
+    const report::SweepSpec* spec = selected[i];
+    SweepState& st = states[i];
+    const bool plan_failed_here = i == planned;
+    if (plan_failed_here && !failed_in_body)
+      std::rethrow_exception(queue->plan_error);
 
     // The shared --csv/--jsonl files are opened in append mode per sweep:
     // the first writer lays down the CSV header, later ones just extend
     // the table. --out-dir files are per sweep and start fresh — except
     // under --resume, where the kept prefix is appended to.
     report::MultiSink multi;
-    if (!options.dry_run) {
-      if (!options.csv_path.empty())
-        multi.add(std::make_unique<report::CsvSink>(options.csv_path,
+    if (!options.csv_path.empty())
+      multi.add(std::make_unique<report::CsvSink>(options.csv_path,
+                                                  report::OpenMode::kAppend));
+    if (!options.jsonl_path.empty())
+      multi.add(std::make_unique<report::JsonlSink>(options.jsonl_path,
                                                     report::OpenMode::kAppend));
-      if (!options.jsonl_path.empty())
-        multi.add(std::make_unique<report::JsonlSink>(options.jsonl_path,
-                                                      report::OpenMode::kAppend));
-      if (!options.out_dir.empty()) {
-        const report::OpenMode mode = options.resume
-                                          ? report::OpenMode::kAppend
-                                          : report::OpenMode::kTruncate;
-        multi.add(std::make_unique<report::CsvSink>(dir_csv, mode));
-        multi.add(std::make_unique<report::JsonlSink>(dir_jsonl, mode));
-      }
+    if (!options.out_dir.empty()) {
+      const report::OpenMode mode = options.resume ? report::OpenMode::kAppend
+                                                   : report::OpenMode::kTruncate;
+      multi.add(std::make_unique<report::CsvSink>(st.dir_csv, mode));
+      multi.add(std::make_unique<report::JsonlSink>(st.dir_jsonl, mode));
     }
-    if (!options.dry_run && injector.active()) {
+    if (injector.active()) {
       std::vector<std::string> fault_files;
       if (!options.csv_path.empty()) fault_files.push_back(options.csv_path);
       if (!options.jsonl_path.empty()) fault_files.push_back(options.jsonl_path);
-      if (!dir_csv.empty()) fault_files.push_back(dir_csv);
-      if (!dir_jsonl.empty()) fault_files.push_back(dir_jsonl);
+      if (!st.dir_csv.empty()) fault_files.push_back(st.dir_csv);
+      if (!st.dir_jsonl.empty()) fault_files.push_back(st.dir_jsonl);
       injector.set_active_files(std::move(fault_files));
       // crash-after-cell=0 tears down right here, leaving the freshly
       // opened (possibly zero-byte) sink files for resume to classify.
-      if (spec == selected.front()) injector.on_sinks_open();
+      if (i == 0) injector.on_sinks_open();
     }
 
+    // The grids were configured and gated when planned; the replay only
+    // drains and writes them.
     report::SweepContext ctx;
     ctx.scale = options.scale;
     ctx.seeds = options.seeds;
-    ctx.threads = options.threads;
-    ctx.event_driven = options.event_driven;
     ctx.sink = multi.empty() ? static_cast<report::ResultSink*>(&null_sink) : &multi;
     ctx.progress = &progress;
-    ctx.out = options.quiet || options.dry_run ? &null_stream() : &out;
+    ctx.out = options.quiet ? &null_stream() : &out;
     ctx.cell_cursor = &cell_cursor;
-    ctx.owned_cursor = &owned_cursor;
-    ctx.dry_run = options.dry_run;
     ctx.partial = partial;
-    ctx.plan = options.dry_run ? &out : nullptr;
-    ctx.trace_dir = options.dry_run ? std::string() : options.trace_dir;
-    trace::SweepMetrics sweep_metrics;
+    ctx.queue = &*queue;
+    trace::SweepMetrics& sweep_metrics = st.metrics;
     sweep_metrics.sweep = spec->name;
-    if (want_metrics && resume != nullptr && !resume->metrics_overrun()) {
+    if (want_metrics && st.resume != nullptr && !st.resume->metrics_overrun()) {
       // Seed the fold with the counters the snapshot already covers; the
-      // gate skips exactly those cells, so each cell folds exactly once.
+      // gate skipped exactly those cells, so each cell folds exactly once.
       if (const trace::SweepMetrics* base = base_for(spec->name))
         sweep_metrics = *base;
     }
@@ -458,7 +524,7 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
     }
 
     std::function<void(const core::CellEvent&)> status_observer;
-    if (!options.status_file.empty() && !options.dry_run) {
+    if (!options.status_file.empty()) {
       // The observer runs after the progress fold, so done() already
       // counts the cell that triggered it.
       status_observer = [path = options.status_file, prog = &progress,
@@ -490,20 +556,14 @@ int run_sweeps(const report::SweepRegistry& registry, const SweepOptions& option
         inj->on_cell_complete();
       };
     }
-    if (options.shard.sharded() || resume != nullptr) {
-      const ShardSpec shard = options.shard;
-      ctx.gate = [shard, resume](const report::GridCellInfo& cell) {
-        if (!shard.owns(cell.cell_index)) return false;
-        if (resume != nullptr && resume->completed(cell)) return false;
-        return true;
-      };
-    }
     if (want_metrics) {
       const trace::ScopeTimer timer(sweep_metrics.phases, "sweep");
       spec->run(ctx);
     } else {
       spec->run(ctx);
     }
+    // The body stopped short of the grid whose planning failed.
+    if (plan_failed_here) std::rethrow_exception(queue->plan_error);
     progress.finish();
     if (want_metrics) all_metrics.push_back(std::move(sweep_metrics));
   }

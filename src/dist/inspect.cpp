@@ -28,7 +28,13 @@ constexpr const char* kUsage = R"(usage: mtr_inspect MODE [options]
 modes (exactly one):
   --metrics FILE   render a metrics.json report: kernel counters, phase
                    timers, quantile tables (p50/p90/p99/p999) and ASCII
-                   sparklines of the telemetry series
+                   sparklines of the telemetry series. A sweep's "pool"
+                   line is its share of the invocation's run queue: the
+                   worker count, the wall seconds from each grid's first
+                   run claimed to its last run finished (summed over its
+                   grids), and per worker the busy seconds of the sweep's
+                   own runs; sweeps overlap on the queue, so the walls
+                   need not add up to the invocation's
   --trace FILE     summarize a Perfetto trace JSON: event census, counter
                    tracks, categories, schema stamp
   --jsonl FILE     rank the cells of a result JSONL by billing gap

@@ -21,8 +21,9 @@ struct StatusSnapshot {
   std::uint64_t cells_total = 0;
   double elapsed_seconds = 0.0;
   std::optional<double> eta_seconds;  // nullopt renders as JSON null
-  /// Per-worker busy fraction (busy seconds / pool wall seconds) of the
-  /// running BatchRunner invocation, one entry per pool thread.
+  /// Per-worker busy fraction (busy seconds / seconds since the run queue
+  /// was created) over every grid the invocation's run queue has run so
+  /// far, one entry per worker started.
   std::vector<double> worker_busy_fraction;
 };
 

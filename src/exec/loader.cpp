@@ -12,7 +12,9 @@ namespace {
 void append_lib_load(std::vector<Step>& steps, const SharedLibrary& lib) {
   steps.push_back(syscall(kernel::SysMapCode{
       kernel::CodeMapping{lib.name, lib.content_tag, lib.code_pages}}));
-  steps.push_back(compute(lib.load_cost, "ld.so:" + lib.name));
+  std::string tag = "ld.so:";
+  tag += lib.name;
+  steps.push_back(compute(lib.load_cost, intern_tag(tag)));
 }
 
 }  // namespace

@@ -1,15 +1,30 @@
 #include "exec/program_base.hpp"
 
+#include <mutex>
+#include <set>
+
 #include "common/ensure.hpp"
 
 namespace mtr::exec {
 
-Step compute(Cycles cycles, std::string tag) {
-  return ComputeStep{cycles, MemoryProfile{}, std::move(tag)};
+Step compute(Cycles cycles, std::string_view tag) {
+  return ComputeStep{cycles, MemoryProfile{}, tag};
 }
 
-Step compute_mem(Cycles cycles, MemoryProfile mem, std::string tag) {
-  return ComputeStep{cycles, std::move(mem), std::move(tag)};
+Step compute_mem(Cycles cycles, MemoryProfile mem, std::string_view tag) {
+  return ComputeStep{cycles, std::move(mem), tag};
+}
+
+std::string_view intern_tag(std::string_view tag) {
+  // Never freed: steps (and the libraries and programs that copy them) may
+  // live as long as the process. std::set nodes never move, so the views
+  // stay valid as the set grows.
+  static std::mutex mutex;
+  static std::set<std::string, std::less<>> tags;
+  const std::lock_guard<std::mutex> lock(mutex);
+  auto it = tags.find(tag);
+  if (it == tags.end()) it = tags.emplace(tag).first;
+  return *it;
 }
 
 Step exit_step(int code) { return ExitStep{code}; }

@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -29,11 +30,17 @@ using kernel::SyscallStep;
 
 // --- step factory helpers ---------------------------------------------------
 
-/// A user-compute step of `cycles` with an optional witness tag.
-Step compute(Cycles cycles, std::string tag = {});
+/// A user-compute step of `cycles` with an optional witness tag. The step
+/// keeps a view of `tag`, so it must be a string literal or come from
+/// intern_tag.
+Step compute(Cycles cycles, std::string_view tag = {});
 
-/// A user-compute step with a memory profile.
-Step compute_mem(Cycles cycles, MemoryProfile mem, std::string tag = {});
+/// A user-compute step with a memory profile; `tag` as for compute.
+Step compute_mem(Cycles cycles, MemoryProfile mem, std::string_view tag = {});
+
+/// A view of an equal copy of `tag` in process-lifetime storage, for witness
+/// tags built at run time. Equal tags share one copy; thread-safe.
+std::string_view intern_tag(std::string_view tag);
 
 /// Wraps any SyscallRequest alternative into a step.
 template <typename Request>

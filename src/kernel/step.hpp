@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -166,8 +167,10 @@ struct ComputeStep {
   Cycles cycles;
   MemoryProfile mem;
   /// Identity tag recorded in the execution-integrity witness; names the
-  /// code region this compute models (e.g. "whetstone.kernel3").
-  std::string tag;
+  /// code region this compute models (e.g. "whetstone.kernel3"). A view:
+  /// tags are string literals or exec::intern_tag results, both of which
+  /// outlive every step.
+  std::string_view tag;
 };
 
 struct SyscallStep {

@@ -1,6 +1,6 @@
 // Live progress for long sweeps: cells done / total, elapsed wall time,
 // per-cell compute time, and an ETA extrapolated from the mean cell rate.
-// Wired into BatchRunner through its per-cell callback; prints to stderr by
+// Wired into the per-cell callback of each grid; prints to stderr by
 // default so the figure rendering and the data sinks stay clean.
 #pragma once
 

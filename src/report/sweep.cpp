@@ -7,8 +7,8 @@ namespace mtr::report {
 
 core::CellCallback SweepContext::stream(std::string sweep_name) const {
   MTR_ENSURE(sink != nullptr);
-  // The callback runs under the runner's emission lock, so folding into the
-  // shared metrics accumulator needs no extra synchronization.
+  // Cells are emitted one at a time on the draining thread, so folding
+  // into the shared metrics accumulator needs no synchronization.
   return [sink = sink, progress = progress, metrics = metrics,
           observer = observer,
           name = std::move(sweep_name)](const core::CellEvent& ev) {
@@ -34,21 +34,37 @@ void SweepContext::begin_progress(const std::string& label,
 }
 
 std::vector<core::CellStats> SweepContext::run_grid(
-    const std::string& sweep_name, core::BatchRunner& runner,
-    core::BatchGrid grid) const {
+    const std::string& sweep_name, core::BatchGrid grid) const {
   MTR_ENSURE_MSG(cell_cursor != nullptr,
                  "SweepContext::run_grid needs a driver-owned cell counter");
-  if (event_driven) grid.base.sim.kernel.event_driven = *event_driven;
   const std::size_t n_cells = core::grid_cell_count(grid);
   const std::size_t base = *cell_cursor;
   *cell_cursor += n_cells;
+
+  // Replay: the grid was gated and submitted when planned; take it back.
+  const GridPlan::Grid* planned = nullptr;
+  if (queue != nullptr && queue->replaying) {
+    if (queue->replayed == queue->grids.size() && queue->plan_error)
+      std::rethrow_exception(queue->plan_error);
+    MTR_ENSURE_MSG(queue->replayed < queue->grids.size(),
+                   "replay of " << sweep_name << " asks for more grids than "
+                                << "were planned");
+    planned = &queue->grids[queue->replayed++];
+    MTR_ENSURE_MSG(planned->sweep == sweep_name && planned->base == base &&
+                       planned->cells == n_cells,
+                   "replayed grid " << sweep_name << " cells [" << base << ","
+                                    << base + n_cells << ") differs from the "
+                                    << "planned grid " << planned->sweep
+                                    << " cells [" << planned->base << ","
+                                    << planned->base + planned->cells << ")");
+  }
 
   // The gate sees every cell in grid order, so shard ownership and resume
   // skipping are decided against the same global numbering a
   // single-machine run would assign.
   std::vector<char> owned(n_cells, 1);
-  std::size_t n_owned = n_cells;
-  if (gate) {
+  std::size_t n_owned = planned != nullptr ? planned->owned : n_cells;
+  if (gate && planned == nullptr) {
     for (std::size_t i = 0; i < n_cells; ++i) {
       const GridCellInfo info =
           record_coords(sweep_name, base + i, core::grid_cell_coords(grid, i));
@@ -85,31 +101,39 @@ std::vector<core::CellStats> SweepContext::run_grid(
     return {};
   }
 
+  if (planned == nullptr) {
+    if (event_driven) grid.base.sim.kernel.event_driven = *event_driven;
+    grid.cell_index_base = base;
+    if (n_owned < n_cells)
+      grid.cell_filter = [owned = std::move(owned)](std::size_t i) {
+        return owned[i] != 0;
+      };
+    grid.collect_kernel_stats = metrics != nullptr;
+    if (!trace_dir.empty()) {
+      // One trace per admitted cell, first replicate only: replicate 0 is
+      // the canonical seed, and one ring per cell keeps the disk cost
+      // linear in cells rather than runs.
+      grid.trace_path = [dir = trace_dir, sweep = sweep_name,
+                         base](std::size_t cell, std::size_t seed_i) {
+        if (seed_i != 0) return std::string();
+        return dir + "/" + sweep + "-cell" + std::to_string(base + cell) +
+               ".json";
+      };
+    }
+    if (queue != nullptr) {  // plan pass: the workers start on it now
+      queue->grids.push_back(
+          {sweep_name, base, n_cells, n_owned, queue->runs.submit(grid)});
+      return {};
+    }
+  }
+
   if (progress && n_owned < n_cells) progress->shrink_total(n_cells - n_owned);
-  grid.cell_index_base = base;
-  if (n_owned < n_cells)
-    grid.cell_filter = [owned = std::move(owned)](std::size_t i) {
-      return owned[i] != 0;
-    };
-
-  grid.collect_kernel_stats = metrics != nullptr;
-  if (!trace_dir.empty()) {
-    // One trace per admitted cell, first replicate only: replicate 0 is the
-    // canonical seed, and one ring per cell keeps the disk cost linear in
-    // cells rather than runs.
-    grid.trace_path = [dir = trace_dir, sweep = sweep_name,
-                       base](std::size_t cell, std::size_t seed_i) {
-      if (seed_i != 0) return std::string();
-      return dir + "/" + sweep + "-cell" + std::to_string(base + cell) +
-             ".json";
-    };
-  }
-
-  if (metrics != nullptr) {
-    const trace::ScopeTimer timer(metrics->phases, "grid");
-    return runner.run(grid, stream(sweep_name), &metrics->pool);
-  }
-  return runner.run(grid, stream(sweep_name));
+  std::optional<trace::ScopeTimer> timer;
+  if (metrics != nullptr) timer.emplace(metrics->phases, "grid");
+  trace::PoolMetrics* pool = metrics != nullptr ? &metrics->pool : nullptr;
+  if (planned != nullptr)
+    return queue->runs.drain(planned->ticket, stream(sweep_name), pool);
+  return core::BatchRunner(threads).run(grid, stream(sweep_name), pool);
 }
 
 void SweepRegistry::add(SweepSpec spec) {

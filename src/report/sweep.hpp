@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <optional>
 #include <ostream>
@@ -29,12 +30,44 @@ using GridCellInfo = CellCoords;
 /// abort the sweep (e.g. resume output that contradicts the grid).
 using CellGate = std::function<bool(const GridCellInfo&)>;
 
+/// One invocation-wide run queue and the grids planned onto it. The driver
+/// walks every selected sweep body twice against it:
+///   - plan: each run_grid call claims its cell range, applies the gate,
+///     and submits the admitted cells to `runs`, so the workers start at
+///     once and never wait at a grid boundary;
+///   - replay: the bodies run again, in order, and the i-th run_grid call
+///     drains the i-th planned grid, emitting its cells to the sinks,
+///     metrics, progress and observer on the calling thread — so every
+///     output is written in exactly the order a grid-at-a-time run writes
+///     it.
+struct GridPlan {
+  explicit GridPlan(unsigned threads) : runs(threads) {}
+
+  struct Grid {
+    std::string sweep;
+    std::size_t base = 0;   // global index of the grid's first cell
+    std::size_t cells = 0;  // cells in the grid
+    std::size_t owned = 0;  // cells the gate admitted
+    core::RunQueue::Ticket ticket = 0;
+  };
+
+  core::RunQueue runs;
+  std::vector<Grid> grids;  // in plan order
+  bool replaying = false;
+  std::size_t replayed = 0;  // grids drained so far
+  /// A failure that stopped the plan pass. The replay rethrows it when a
+  /// body asks for the grid after the last planned one — the point where
+  /// the failure struck — so every grid planned before it is still
+  /// written, as it would be without the queue.
+  std::exception_ptr plan_error;
+};
+
 /// Everything a sweep body needs: the sweep parameters, where results
 /// stream, and where human-readable rendering goes.
 struct SweepContext {
   double scale = 0.25;                 // workload scale (MTR_BENCH_SCALE)
   std::vector<std::uint64_t> seeds;    // replicate grid seeds per cell
-  unsigned threads = 0;                // BatchRunner pool; 0 = hardware
+  unsigned threads = 0;                // worker threads; 0 = hardware
   /// --engine override: forces every grid's kernel onto the event-driven
   /// or the slice-stepped loop. Engine choice is not a grid axis — cell
   /// indices, seeds, and record columns are untouched, so two runs that
@@ -71,24 +104,27 @@ struct SweepContext {
   /// counters, phase timers, pool utilization, and run telemetry into this
   /// accumulator.
   trace::SweepMetrics* metrics = nullptr;
-  /// Per-cell completion observer, invoked after the sink/metrics fold
-  /// (still under the runner's emission lock). The driver hangs its
-  /// --status-file heartbeat here. May be null.
+  /// Per-cell completion observer, invoked after the sink/metrics fold on
+  /// the thread that drains the grid. The driver hangs its --status-file
+  /// heartbeat here. May be null.
   std::function<void(const core::CellEvent&)> observer;
+  /// The invocation-wide run queue (driver-owned). Null runs each grid on
+  /// its own BatchRunner of `threads` workers, start to finish, inside
+  /// run_grid.
+  GridPlan* queue = nullptr;
 
   std::ostream& os() const { return *out; }
 
-  /// Runs one BatchRunner grid on behalf of `sweep_name`: claims the
-  /// grid's global cell-index range, applies the gate (sharding/resume),
-  /// shrinks the progress total by the skipped cells, and streams admitted
-  /// cells through the sink. Returns the executed cells in grid order —
-  /// a subset of the grid when gated, empty under --dry-run.
+  /// Runs one grid on behalf of `sweep_name`: claims the grid's global
+  /// cell-index range, applies the gate (sharding/resume), shrinks the
+  /// progress total by the skipped cells, and streams admitted cells
+  /// through the sink. Returns the executed cells in grid order — a subset
+  /// of the grid when gated, empty under --dry-run and in a plan pass.
   std::vector<core::CellStats> run_grid(const std::string& sweep_name,
-                                        core::BatchRunner& runner,
                                         core::BatchGrid grid) const;
 
-  /// Bundles the sink and the progress reporter into a BatchRunner
-  /// per-cell callback; `sweep_name` tags every emitted record.
+  /// Bundles the sink, metrics fold, progress reporter and observer into
+  /// a per-cell callback; `sweep_name` tags every emitted record.
   core::CellCallback stream(std::string sweep_name) const;
 
   /// Starts a labelled progress span (no-op without a reporter).

@@ -107,11 +107,13 @@ class ScopeTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// BatchRunner worker-pool utilization: per-worker busy seconds against the
-/// pool's wall time — the straggler baseline for the work-stealing tier.
+/// Worker-pool utilization of a set of grids (a sweep's, in metrics.json):
+/// per-worker busy seconds of their own runs against each grid's wall time
+/// from its first run claimed to its last run finished. Grids that share a
+/// run queue overlap, so walls of different sweeps need not add up.
 struct PoolMetrics {
   std::uint64_t threads = 0;          // widest pool observed
-  double wall_seconds = 0.0;          // summed across runner invocations
+  double wall_seconds = 0.0;          // summed across grids
   std::vector<double> busy_seconds;   // per worker slot, element-wise summed
   void merge(const PoolMetrics& o);
 };

@@ -9,7 +9,7 @@ using kernel::Step;
 
 namespace {
 
-LibFunction fn(Cycles cost, const std::string& tag) {
+LibFunction fn(Cycles cost, std::string_view tag) {
   return LibFunction{{compute(cost, tag)}, /*forwards=*/false};
 }
 

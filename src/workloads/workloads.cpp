@@ -48,12 +48,13 @@ MemoryProfile make_profile(std::uint64_t first_page, std::uint64_t n_pages,
 /// page touched once, quickly. Real programs sweep memory like this, and it
 /// is exactly the pattern LRU cannot protect under the exception-flooding
 /// attack — each pass re-faults whatever the hog evicted.
-Step buffer_pass(std::uint64_t first_page, std::uint64_t n_pages, std::string tag) {
+Step buffer_pass(std::uint64_t first_page, std::uint64_t n_pages,
+                 std::string_view tag) {
   MemoryProfile mem;
   mem.pages.reserve(n_pages);
   for (std::uint64_t i = 0; i < n_pages; ++i) mem.pages.push_back(PageId{first_page + i});
   mem.touch_period = Cycles{2'000};
-  return compute_mem(Cycles{2'000 * n_pages}, std::move(mem), std::move(tag));
+  return compute_mem(Cycles{2'000 * n_pages}, std::move(mem), tag);
 }
 
 std::uint64_t scaled(std::uint64_t n, double scale) {

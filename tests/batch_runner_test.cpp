@@ -1,10 +1,17 @@
-// BatchRunner coverage: grid shape/order, dimension defaulting, per-cell
-// seed derivation, error propagation, and — the load-bearing property —
-// bit-identical aggregates regardless of thread count.
+// BatchRunner and RunQueue coverage: grid shape/order, dimension
+// defaulting, per-cell seed derivation, error propagation, the shared queue
+// (several grids, in-order emission, teardown with runs unclaimed), and —
+// the load-bearing property — bit-identical aggregates regardless of
+// thread count.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <memory>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 
 #include "attacks/scheduling_attack.hpp"
 #include "core/batch_runner.hpp"
@@ -108,19 +115,18 @@ TEST(BatchRunner, GridOrderIsAttackMajor) {
   EXPECT_FALSE(cells[0].first_run().has_attacker);
 }
 
-TEST(BatchRunner, IdenticalAggregatesAcrossThreadCounts) {
-  const BatchGrid g = small_grid();
-  const auto one = BatchRunner(1).run(g);
-  const auto eight = BatchRunner(8).run(g);
-  ASSERT_EQ(one.size(), eight.size());
+/// Exact equality: the per-run results and the aggregation order are both
+/// independent of the worker pool.
+void expect_same_cells(const std::vector<CellStats>& one,
+                       const std::vector<CellStats>& other) {
+  ASSERT_EQ(one.size(), other.size());
   for (std::size_t i = 0; i < one.size(); ++i) {
     const CellStats& a = one[i];
-    const CellStats& b = eight[i];
+    const CellStats& b = other[i];
     EXPECT_EQ(a.attack_label, b.attack_label);
     EXPECT_EQ(a.scheduler, b.scheduler);
     EXPECT_EQ(a.hz, b.hz);
-    // Exact equality: the per-run results and the aggregation order are
-    // both independent of the worker pool.
+    EXPECT_EQ(a.cell_index, b.cell_index);
     EXPECT_EQ(a.overcharge.mean(), b.overcharge.mean());
     EXPECT_EQ(a.overcharge.stddev(), b.overcharge.stddev());
     EXPECT_EQ(a.billed_seconds.sum(), b.billed_seconds.sum());
@@ -134,6 +140,11 @@ TEST(BatchRunner, IdenticalAggregatesAcrossThreadCounts) {
       EXPECT_EQ(a.runs[j].witness_steps, b.runs[j].witness_steps);
     }
   }
+}
+
+TEST(BatchRunner, IdenticalAggregatesAcrossThreadCounts) {
+  const BatchGrid g = small_grid();
+  expect_same_cells(BatchRunner(1).run(g), BatchRunner(8).run(g));
 }
 
 TEST(BatchRunner, SeedsChangeResultsAcrossCells) {
@@ -424,6 +435,147 @@ TEST(BatchRunner, ObservabilityCollectionLeavesAggregatesIdentical) {
     EXPECT_GE(busy, 0.0);
     EXPECT_LE(busy, pool.wall_seconds * 1.05);
   }
+}
+
+/// A grid shaped unlike small_grid: 2 attacks x 2 HZ, three seeds, and a
+/// cell-index base as a later grid of an invocation would have.
+BatchGrid other_grid() {
+  BatchGrid g;
+  g.base = test::quick_experiment(workloads::WorkloadKind::kPi);
+  g.attacks.push_back({"baseline", nullptr});
+  g.attacks.push_back({"scheduling", tiny_scheduling_attack()});
+  g.ticks = {TimerHz{100}, TimerHz{1000}};
+  g.seeds = {3, 4, 5};
+  g.cell_index_base = 100;
+  return g;
+}
+
+AttackFactory exploding_attack() {
+  return []() -> std::unique_ptr<attacks::Attack> {
+    throw std::runtime_error("factory exploded");
+  };
+}
+
+TEST(RunQueue, GridsEmitInGridAndSubmissionOrderAtAnyThreadCount) {
+  const std::vector<BatchGrid> grids = {small_grid(), other_grid(), small_grid()};
+  std::vector<std::vector<CellStats>> alone;
+  for (const BatchGrid& g : grids) alone.push_back(BatchRunner(1).run(g));
+
+  // Every cell of every grid, in submission order and grid order within.
+  std::vector<std::pair<std::size_t, std::size_t>> want;
+  for (std::size_t k = 0; k < grids.size(); ++k)
+    for (std::size_t i = 0; i < grid_cell_count(grids[k]); ++i) want.emplace_back(k, i);
+
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    RunQueue queue(threads);
+    std::vector<RunQueue::Ticket> tickets;
+    for (const BatchGrid& g : grids) tickets.push_back(queue.submit(g));
+    std::vector<std::pair<std::size_t, std::size_t>> emitted;
+    for (std::size_t k = 0; k < grids.size(); ++k) {
+      const auto cells = queue.drain(tickets[k], [&](const CellEvent& ev) {
+        EXPECT_EQ(ev.total, grid_cell_count(grids[k]));
+        EXPECT_EQ(ev.cell.cell_index, grids[k].cell_index_base + ev.index);
+        emitted.emplace_back(k, ev.index);
+      });
+      // One shared pool, yet each grid aggregates exactly as it does alone.
+      expect_same_cells(cells, alone[k]);
+    }
+    EXPECT_EQ(emitted, want) << threads << " thread(s)";
+  }
+}
+
+TEST(RunQueue, FailureInALaterGridLeavesTheEarlierGridWhole) {
+  BatchGrid broken;
+  broken.base = test::quick_experiment(workloads::WorkloadKind::kOurs);
+  broken.attacks.push_back({"baseline", nullptr});
+  broken.attacks.push_back({"broken", exploding_attack()});
+  broken.schedulers = {sim::SchedulerKind::kCfs};
+  broken.ticks = {TimerHz{1000}};
+  broken.seeds = {77, 78};
+
+  RunQueue queue(4);
+  const RunQueue::Ticket first = queue.submit(small_grid());
+  const RunQueue::Ticket second = queue.submit(broken);
+
+  std::vector<std::size_t> first_emitted;
+  const auto cells = queue.drain(
+      first, [&](const CellEvent& ev) { first_emitted.push_back(ev.index); });
+  EXPECT_EQ(cells.size(), 4u);
+  EXPECT_EQ(first_emitted, (std::vector<std::size_t>{0, 1, 2, 3}));
+
+  std::vector<std::size_t> second_emitted;
+  try {
+    queue.drain(second,
+                [&](const CellEvent& ev) { second_emitted.push_back(ev.index); });
+    FAIL() << "expected a runtime_error";
+  } catch (const std::runtime_error& e) {
+    // Grid 2's coordinates and its first failing seed, as a lone
+    // BatchRunner reports them.
+    const std::string what = e.what();
+    EXPECT_NE(what.find("BatchRunner cell [attack=broken"), std::string::npos) << what;
+    EXPECT_NE(what.find("scheduler=cfs"), std::string::npos) << what;
+    EXPECT_NE(what.find("hz=1000"), std::string::npos) << what;
+    EXPECT_NE(what.find("seed=77]"), std::string::npos) << what;
+    EXPECT_NE(what.find("factory exploded"), std::string::npos) << what;
+  }
+  // The failed grid still emitted its healthy cell before rethrowing.
+  EXPECT_EQ(second_emitted, (std::vector<std::size_t>{0}));
+}
+
+/// Threads of this process (Linux: one /proc/self/task entry each).
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(RunQueue, DestroyingWithRunsUnclaimedReturnsPromptlyAndJoins) {
+  if (!std::filesystem::exists("/proc/self/task"))
+    GTEST_SKIP() << "needs /proc/self/task to count threads";
+  const std::size_t threads_before = live_threads();
+
+  // 200 runs of at least 10 ms each on 2 workers: a queue that ran them
+  // all before returning would take a second or more.
+  std::atomic<int> started{0};
+  BatchGrid g;
+  g.base = test::quick_experiment(workloads::WorkloadKind::kOurs);
+  g.attacks.push_back({"slow", [&started]() -> std::unique_ptr<attacks::Attack> {
+                         ++started;
+                         std::this_thread::sleep_for(std::chrono::milliseconds(10));
+                         return nullptr;
+                       }});
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) g.seeds.push_back(seed);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    RunQueue queue(2);
+    queue.submit(g);
+    while (started.load() < 2) std::this_thread::yield();
+  }
+  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - t0;
+
+  // Only the runs in flight finished; the unclaimed ones were dropped.
+  EXPECT_LE(started.load(), 4);
+  EXPECT_LT(elapsed.count(), 1.0);
+  EXPECT_EQ(live_threads(), threads_before);
+}
+
+TEST(RunQueue, EmptyGridsStartNoWorker) {
+  if (!std::filesystem::exists("/proc/self/task"))
+    GTEST_SKIP() << "needs /proc/self/task to count threads";
+  const std::size_t threads_before = live_threads();
+  BatchGrid g = small_grid();
+  g.cell_filter = [](std::size_t) { return false; };
+  RunQueue queue(4);
+  const RunQueue::Ticket t = queue.submit(g);
+  EXPECT_EQ(live_threads(), threads_before);
+  trace::PoolMetrics pool;
+  EXPECT_TRUE(queue.drain(t, {}, &pool).empty());
+  EXPECT_EQ(pool.threads, 0u);
+  EXPECT_EQ(pool.wall_seconds, 0.0);
 }
 
 }  // namespace

@@ -115,9 +115,8 @@ report::SweepRegistry counting_registry(std::atomic<int>* runs) {
                   return nullptr;
                 }});
          }
-         core::BatchRunner runner(ctx.threads);
          ctx.begin_progress("grid", 4);
-         ctx.run_grid("grid", runner, std::move(grid));
+         ctx.run_grid("grid", std::move(grid));
        }});
   return registry;
 }
@@ -140,10 +139,48 @@ report::SweepRegistry population_registry() {
               }});
          grid.population_sizes = {1, 6};
          grid.attacker_fractions = {0.0, 0.4};
-         core::BatchRunner runner(ctx.threads);
          ctx.begin_progress("pop", 4);
-         ctx.run_grid("pop", runner, std::move(grid));
+         ctx.run_grid("pop", std::move(grid));
        }});
+  return registry;
+}
+
+/// Three sweeps of two grids each (2 cells apiece), the shape of the fig*
+/// sweeps, for the invocation-wide run queue. `broken` names a sweep whose
+/// second grid holds a cell whose attack factory throws; `throws` names a
+/// sweep whose body itself throws after its first grid.
+report::SweepRegistry multi_sweep_registry(const std::string& broken = "",
+                                           const std::string& throws = "") {
+  report::SweepRegistry registry;
+  for (const char* sweep : {"first", "second", "third"}) {
+    const std::string name = sweep;
+    const bool breaks = name == broken;
+    const bool body_throws = name == throws;
+    registry.add({name, "two-grid sweep", [name, breaks, body_throws](
+                                              const report::SweepContext& ctx) {
+                    ctx.begin_progress(name, 4);
+                    for (int k = 0; k < 2; ++k) {
+                      core::BatchGrid grid;
+                      grid.base = test::quick_experiment(
+                          k == 0 ? workloads::WorkloadKind::kOurs
+                                 : workloads::WorkloadKind::kPi,
+                          ctx.scale);
+                      grid.seeds = ctx.seeds;
+                      grid.attacks.push_back({"baseline", nullptr});
+                      if (breaks && k == 1) {
+                        grid.attacks.push_back(
+                            {"broken", []() -> std::unique_ptr<attacks::Attack> {
+                               throw std::runtime_error("factory exploded");
+                             }});
+                      } else {
+                        grid.schedulers = {sim::SchedulerKind::kO1,
+                                           sim::SchedulerKind::kCfs};
+                      }
+                      ctx.run_grid(name, std::move(grid));
+                      if (body_throws) throw std::runtime_error("body failed");
+                    }
+                  }});
+  }
   return registry;
 }
 
@@ -347,6 +384,142 @@ TEST(SweepDriverTest, DryRunPlansWithoutExecuting) {
   EXPECT_NE(out2.str().find("grid: cells [0,4) — runs 2/4: 1 3"),
             std::string::npos);
   EXPECT_NE(out2.str().find("shard 1/2 runs 2"), std::string::npos);
+}
+
+SweepOptions all_options(const std::string& root, unsigned threads) {
+  SweepOptions o;
+  o.all = true;
+  o.csv_path = root + "/all.csv";
+  o.jsonl_path = root + "/all.jsonl";
+  o.out_dir = root + "/dir";
+  o.metrics_path = root + "/metrics.json";
+  o.scale = 0.02;
+  o.seeds = {7, 8};
+  o.threads = threads;
+  o.progress = false;
+  o.quiet = true;
+  return o;
+}
+
+TEST(SweepDriverTest, AllSweepsAreByteIdenticalAcrossThreadCounts) {
+  const report::SweepRegistry registry = multi_sweep_registry();
+  const std::string root = temp_path("dist_all_threads");
+  std::filesystem::remove_all(root);
+  std::ostringstream out, err;
+  ASSERT_EQ(run_sweeps(registry, all_options(root + "/t1", 1), out, err), 0)
+      << err.str();
+  ASSERT_EQ(run_sweeps(registry, all_options(root + "/t4", 4), out, err), 0)
+      << err.str();
+
+  // The shared files interleave every sweep, so they pin the emission
+  // order across grid and sweep boundaries, not just within a grid.
+  for (const char* file : {"all.csv", "all.jsonl", "dir/first.csv",
+                           "dir/first.jsonl", "dir/second.csv",
+                           "dir/second.jsonl", "dir/third.csv",
+                           "dir/third.jsonl"}) {
+    const std::string one = read_file(root + "/t1/" + file);
+    EXPECT_FALSE(one.empty()) << file;
+    EXPECT_EQ(one, read_file(root + "/t4/" + file)) << file;
+  }
+  // Cells land in global index order, sweep after sweep.
+  std::vector<std::uint64_t> indices;
+  std::vector<std::string> sweeps;
+  for (const std::string& line : lines_of(read_file(root + "/t1/all.jsonl"))) {
+    const json::Value record = json::parse_document(line);
+    if (json::get_string(record, "record") != "cell") continue;
+    indices.push_back(json::get_u64(record, "cell_index"));
+    sweeps.push_back(json::get_string(record, "sweep"));
+  }
+  EXPECT_EQ(indices, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8,
+                                                 9, 10, 11}));
+  EXPECT_EQ(sweeps.front(), "first");
+  EXPECT_EQ(sweeps.back(), "third");
+
+  // Counter-class metrics agree too; only timings may differ.
+  std::ostringstream cmp;
+  EXPECT_EQ(compare_metrics(cmp, "t1", read_metrics_json(root + "/t1/metrics.json"),
+                            "t4", read_metrics_json(root + "/t4/metrics.json")),
+            0)
+      << cmp.str();
+  std::filesystem::remove_all(root);
+}
+
+/// Threads of this process (Linux: one /proc/self/task entry each); 0 when
+/// that directory is not there to count.
+std::size_t live_threads() {
+  std::error_code ec;
+  std::size_t n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec))
+    ++n;
+  return n;
+}
+
+/// Runs the CLI entry point on the three-sweep registry and returns
+/// {exit code, stderr}.
+std::pair<int, std::string> sweep_cli(const report::SweepRegistry& registry,
+                                      const std::string& out_dir) {
+  const char* argv[] = {"mtr_sweep", "--all",        "--out-dir",  out_dir.c_str(),
+                        "--scale",   "0.02",         "--seeds",    "2",
+                        "--first-seed", "7",         "--threads",  "4",
+                        "--quiet",   "--no-progress"};
+  ::testing::internal::CaptureStderr();
+  const int code =
+      sweep_main(registry, static_cast<int>(std::size(argv)), argv);
+  return {code, ::testing::internal::GetCapturedStderr()};
+}
+
+TEST(SweepDriverTest, FailingSweepExitsOneAfterWritingEveryEarlierSweep) {
+  const std::string root = temp_path("dist_all_failing");
+  std::filesystem::remove_all(root);
+  std::ostringstream out, err;
+
+  // References: the healthy roster, and the diagnostic the failing sweep
+  // gives when it runs alone.
+  ASSERT_EQ(run_sweeps(multi_sweep_registry(), all_options(root + "/ok", 2), out, err),
+            0);
+  const report::SweepRegistry broken = multi_sweep_registry("second");
+  SweepOptions alone = all_options(root + "/alone", 2);
+  alone.all = false;
+  alone.sweeps = {"second"};
+  std::string diagnostic;
+  try {
+    run_sweeps(broken, alone, out, err);
+  } catch (const std::exception& e) {
+    diagnostic = e.what();
+  }
+  EXPECT_NE(diagnostic.find("BatchRunner cell [attack=broken"), std::string::npos)
+      << diagnostic;
+  EXPECT_NE(diagnostic.find("seed=7] failed: factory exploded"), std::string::npos)
+      << diagnostic;
+
+  const std::size_t threads_before = live_threads();
+  const auto [code, stderr_text] = sweep_cli(broken, root + "/run");
+  // No worker outlives the failed invocation.
+  EXPECT_EQ(live_threads(), threads_before);
+  EXPECT_EQ(code, 1);
+  EXPECT_EQ(stderr_text, "mtr_sweep: " + diagnostic + "\n");
+  // The sweep before the failure is complete and byte-identical; the
+  // failing sweep kept what a grid-at-a-time run writes (its first grid
+  // and the healthy cell of the second: 3 cells x 2 seeds); the sweep
+  // after it never opened its files.
+  EXPECT_EQ(read_file(root + "/run/first.csv"), read_file(root + "/ok/dir/first.csv"));
+  EXPECT_EQ(read_file(root + "/run/first.jsonl"),
+            read_file(root + "/ok/dir/first.jsonl"));
+  EXPECT_EQ(lines_of(read_file(root + "/run/second.csv")).size(), 1u + 3 * 2);
+  EXPECT_FALSE(std::filesystem::exists(root + "/run/third.csv"));
+
+  // A body that throws is deferred the same way: the plan pass stops
+  // there, and the replay writes everything before it, then fails.
+  const auto [code2, stderr2] =
+      sweep_cli(multi_sweep_registry("", "second"), root + "/body");
+  EXPECT_EQ(live_threads(), threads_before);
+  EXPECT_EQ(code2, 1);
+  EXPECT_EQ(stderr2, "mtr_sweep: body failed\n");
+  EXPECT_EQ(read_file(root + "/body/first.csv"), read_file(root + "/ok/dir/first.csv"));
+  EXPECT_EQ(lines_of(read_file(root + "/body/second.csv")).size(), 1u + 2 * 2);
+  EXPECT_FALSE(std::filesystem::exists(root + "/body/third.csv"));
+  std::filesystem::remove_all(root);
 }
 
 TEST(ShardMergeTest, MergedShardsAreByteIdenticalToSingleRun) {
@@ -1037,9 +1210,8 @@ TEST(SweepDriverTest, DryRunPlanNamesOpenScenarioAxes) {
                       workloads::WorkloadKind::kOurs, ctx.scale);
                   grid.seeds = ctx.seeds;
                   grid.jiffy_timers = {true, false};
-                  core::BatchRunner runner(ctx.threads);
                   ctx.begin_progress("abl", 2);
-                  ctx.run_grid("abl", runner, std::move(grid));
+                  ctx.run_grid("abl", std::move(grid));
                 }});
   SweepOptions opts = grid_options("");
   opts.sweeps = {"abl"};

@@ -55,6 +55,20 @@ TEST(StepList, EmitsInOrderThenExits) {
   EXPECT_TRUE(std::holds_alternative<ExitStep>(steps[2]));
 }
 
+TEST(StepTag, InternedTagOutlivesItsSourceAndIsShared) {
+  std::string_view first;
+  {
+    std::string built = "lib";
+    built += ".sym";
+    first = intern_tag(built);
+  }  // the source string is gone; the step's view must not be
+  const Step s = compute(Cycles{1}, first);
+  EXPECT_EQ(std::get<ComputeStep>(s).tag, "lib.sym");
+  // Equal tags share one copy, so interning a hot tag costs no storage.
+  EXPECT_EQ(intern_tag("lib.sym").data(), first.data());
+  EXPECT_NE(intern_tag("lib.other").data(), first.data());
+}
+
 TEST(Generator, NulloptEndsProgram) {
   int n = 0;
   GeneratorProgram p("g", [n](kernel::ProcessContext&) mutable -> std::optional<Step> {
@@ -106,7 +120,7 @@ SharedLibrary lib_with(const std::string& name, const std::string& sym, Cycles c
   lib.name = name;
   lib.content_tag = name + "#test";
   LibFunction f;
-  f.body.push_back(compute(cost, name + "." + sym));
+  f.body.push_back(compute(cost, intern_tag(name + "." + sym)));
   f.forwards = forwards;
   lib.symbols[sym] = std::move(f);
   return lib;
@@ -203,7 +217,7 @@ TEST(LoaderTest, ImageMapsCodeRunsCtorsMainDtors) {
     Step s = program->next(ctx);
     if (std::holds_alternative<ExitStep>(s)) break;
     if (const auto* c = std::get_if<ComputeStep>(&s)) {
-      trace.push_back(c->tag);
+      trace.emplace_back(c->tag);
     } else if (const auto* sc = std::get_if<kernel::SyscallStep>(&s)) {
       if (const auto* mc = std::get_if<SysMapCode>(&sc->req))
         trace.push_back("map:" + mc->mapping.object);
