@@ -81,7 +81,7 @@ inline void render_cell_figure(std::ostream& os, const std::string& title,
                    fmt_double(c.true_seconds.mean()), fmt_double(c.tsc_seconds.mean()),
                    fmt_double(c.pais_seconds.mean()),
                    fmt_stat(c.overcharge, 2) + "x",
-                   c.all_source_ok() ? "yes" : "NO",
+                   c.source_ok ? "yes" : "NO",
                    fmt_double(c.major_faults.mean(), 1),
                    fmt_double(c.debug_exceptions.mean(), 1)});
   }

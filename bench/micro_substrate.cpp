@@ -1,7 +1,7 @@
 // google-benchmark microbenches for the substrate itself: crypto
 // throughput, the witness-chain step, simulator event rate, scheduler pick
-// cost, meter hook overhead, PCB and mm fork-child lifetimes, and
-// end-to-end sweep-cell rates.
+// cost, meter hook overhead, PCB and mm fork-child lifetimes, end-to-end
+// sweep-cell rates, and the record layer: sink encode, scan and merge.
 // These are engineering benchmarks (how fast is the simulator), not paper
 // reproductions.
 //
@@ -11,6 +11,12 @@
 // commits can be compared via bench/perf_baseline.py and BENCH_sim.json.
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <ostream>
+#include <streambuf>
+
 #include "attacks/scheduling_attack.hpp"
 #include "bench/attack_roster.hpp"
 #include "core/experiment.hpp"
@@ -18,11 +24,14 @@
 #include "core/meters.hpp"
 #include "crypto/md5.hpp"
 #include "crypto/sha256.hpp"
+#include "dist/merge.hpp"
+#include "dist/records.hpp"
 #include "kernel/cfs_scheduler.hpp"
 #include "exec/program_base.hpp"
 #include "kernel/kernel.hpp"
 #include "kernel/o1_scheduler.hpp"
 #include "mm/memory_manager.hpp"
+#include "report/result_sink.hpp"
 #include "sim/simulation.hpp"
 #include "workloads/workloads.hpp"
 
@@ -335,6 +344,126 @@ void BM_EngineCell_io_heavy_slice(benchmark::State& state) {
   engine_cell_bench(state, /*event_driven=*/false, /*io=*/true);
 }
 BENCHMARK(BM_EngineCell_io_heavy_slice)->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// Report and dist layer benches: encoding one cell through the sinks, and
+// scanning and merging a shard set, all in bytes per second. They run the
+// record table and its token codec end to end, without simulating.
+// ---------------------------------------------------------------------------
+
+constexpr std::uint64_t kRecordSeeds = 600;
+
+/// One 600-seed cell built from a real baseline run. Each replicate is
+/// nudged so its doubles print at full %.17g length, and carries per-tenant
+/// sketches as a population cell's runs do.
+core::CellStats record_cell(std::uint64_t cell_index) {
+  static const core::ExperimentResult base = [] {
+    core::ExperimentConfig cfg;
+    cfg.kind = workloads::WorkloadKind::kWhetstone;
+    cfg.workload.scale = kSweepCellScale;
+    return core::run_experiment(cfg);
+  }();
+  core::CellStats cell;
+  cell.attack_label = "baseline";
+  cell.cell_index = cell_index;
+  for (std::uint64_t i = 0; i < kRecordSeeds; ++i) {
+    core::ExperimentResult r = base;
+    const double nudge = 1.0 / static_cast<double>(i + 3);
+    r.wall_seconds += nudge;
+    r.billed_seconds += nudge;
+    r.true_seconds += nudge / 7.0;
+    r.overcharge = r.billed_seconds / r.true_seconds;
+    for (int t = 1; t <= 16; ++t) {
+      const double v = nudge * t;
+      r.pop_billing_error.add(t % 2 ? v : -v);
+      r.pop_billed_seconds.add(1.0 + v);
+      r.pop_true_seconds.add(1.0);
+    }
+    cell.seeds.push_back(42 + i);
+    cell.runs.push_back(std::move(r));
+    cell.add(cell.runs.back());
+  }
+  return cell;
+}
+
+/// Counts the bytes written through it and keeps none.
+class CountingBuf final : public std::streambuf {
+ public:
+  std::int64_t bytes = 0;
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    bytes += n;
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    ++bytes;
+    return traits_type::not_eof(c);
+  }
+};
+
+/// Arg 0 encodes through CsvSink, arg 1 through JsonlSink.
+void BM_SinkEncode(benchmark::State& state) {
+  const core::CellStats cell = record_cell(0);
+  CountingBuf buf;
+  std::ostream os(&buf);
+  const bool jsonl = state.range(0) == 1;
+  std::unique_ptr<report::ResultSink> sink;
+  if (jsonl) sink = std::make_unique<report::JsonlSink>(os);
+  else sink = std::make_unique<report::CsvSink>(os);
+  for (auto _ : state) sink->write_cell("bench", cell);
+  state.SetBytesProcessed(buf.bytes);
+  state.SetLabel(jsonl ? "jsonl" : "csv");
+}
+BENCHMARK(BM_SinkEncode)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// A 4-shard JSONL set written once per process through JsonlSink: 8 cells
+/// of 600 seeds, cell i in shard i % 4. Removed at exit.
+struct ShardSet {
+  std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                              ("micro_substrate." + std::to_string(::getpid()));
+  std::vector<std::string> paths;
+  std::int64_t bytes = 0;
+
+  ShardSet() {
+    std::filesystem::create_directories(dir);
+    std::vector<std::unique_ptr<report::JsonlSink>> sinks;
+    for (int s = 0; s < 4; ++s) {
+      paths.push_back((dir / ("shard" + std::to_string(s) + ".jsonl")).string());
+      sinks.push_back(std::make_unique<report::JsonlSink>(paths.back()));
+    }
+    for (std::uint64_t c = 0; c < 8; ++c)
+      sinks[c % 4]->write_cell("bench", record_cell(c));
+    sinks.clear();  // flush and close before the sizes are read
+    for (const std::string& p : paths)
+      bytes += static_cast<std::int64_t>(std::filesystem::file_size(p));
+  }
+  ~ShardSet() {
+    std::error_code ignored;
+    std::filesystem::remove_all(dir, ignored);
+  }
+};
+
+const ShardSet& shard_set() {
+  static const ShardSet set;
+  return set;
+}
+
+void BM_ScanJsonl(benchmark::State& state) {
+  const ShardSet& set = shard_set();
+  for (auto _ : state)
+    for (const std::string& p : set.paths)
+      benchmark::DoNotOptimize(dist::scan_jsonl(p).blocks.size());
+  state.SetBytesProcessed(set.bytes * state.iterations());
+}
+BENCHMARK(BM_ScanJsonl)->Unit(benchmark::kMillisecond);
+
+void BM_MergeJsonl(benchmark::State& state) {
+  const ShardSet& set = shard_set();
+  for (auto _ : state) benchmark::DoNotOptimize(dist::merge_jsonl(set.paths).size());
+  state.SetBytesProcessed(set.bytes * state.iterations());
+}
+BENCHMARK(BM_MergeJsonl)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -68,7 +68,7 @@ void run_tab_countermeasures(const report::SweepContext& ctx) {
                    excess(c.billed_seconds.mean(), base.billed_seconds.mean()),
                    excess(c.tsc_seconds.mean(), base.tsc_seconds.mean()),
                    excess(c.pais_seconds.mean(), base.pais_seconds.mean()),
-                   c.all_source_ok() ? "no" : "YES", witness_detects(c)});
+                   c.source_ok ? "no" : "YES", witness_detects(c)});
   }
   table.render(os);
   os << "\nreading guide: launch/library attacks leave every meter "

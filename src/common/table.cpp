@@ -40,26 +40,27 @@ void TextTable::render(std::ostream& os) const {
   for (const auto& row : rows_) emit(row);
 }
 
-namespace {
-std::string csv_escape(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
+void append_csv_cell(std::string& out, std::string_view s) {
+  if (s.find_first_of(",\"\n") == std::string_view::npos) {
+    out += s;
+    return;
+  }
+  out += '"';
   for (char ch : s) {
     if (ch == '"') out += '"';
     out += ch;
   }
   out += '"';
-  return out;
 }
-}  // namespace
 
 void TextTable::render_csv(std::ostream& os) const {
   auto emit = [&](const std::vector<std::string>& cells) {
+    std::string line;
     for (std::size_t c = 0; c < cells.size(); ++c) {
-      os << csv_escape(cells[c]);
-      if (c + 1 < cells.size()) os << ',';
+      if (c) line += ',';
+      append_csv_cell(line, cells[c]);
     }
-    os << '\n';
+    os << line << '\n';
   };
   emit(headers_);
   for (const auto& row : rows_) emit(row);

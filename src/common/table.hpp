@@ -6,9 +6,14 @@
 #include <cstddef>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mtr {
+
+/// Appends `s` as one RFC-4180 CSV cell: wrapped in quotes, embedded quotes
+/// doubled, when it contains a comma, quote, or newline.
+void append_csv_cell(std::string& out, std::string_view s);
 
 /// Column-aligned text table. Cells are strings; headers set the column count.
 class TextTable {

@@ -135,10 +135,16 @@ GridCellCoords grid_cell_coords(const BatchGrid& grid, std::size_t cell) {
   return c;
 }
 
-bool CellStats::all_source_ok() const {
-  for (const ExperimentResult& r : runs)
-    if (!r.source_verdict.ok) return false;
-  return true;
+void CellStats::add(const ExperimentResult& r) {
+  if (run_count++ == 0) workload = r.kind;
+  source_ok = source_ok && r.source_verdict.ok;
+  for_each_stat(
+      [&](const char*, RunningStats& stat, auto get) { stat.add(get(r)); });
+  for_each_sketch([&](const char*, QuantileSketch& sketch, auto get) {
+    sketch.merge(get(r));
+  });
+  kstats.merge(r.kstats);
+  telemetry.merge(r.telemetry);
 }
 
 std::uint64_t cell_seed(std::uint64_t grid_seed, std::size_t attack_i,
@@ -247,14 +253,7 @@ void RunQueue::Job::aggregate(std::size_t pos, CellStats& s) {
     // The per-run slot is dead after aggregation: move it instead of
     // deep-copying its strings/violation vectors into the cell.
     s.runs.push_back(std::move(results[pos * n_seeds + seed_i]));
-    const ExperimentResult& r = s.runs.back();
-    s.for_each_stat(
-        [&](const char*, RunningStats& stat, auto get) { stat.add(get(r)); });
-    s.for_each_sketch([&](const char*, QuantileSketch& sketch, auto get) {
-      sketch.merge(get(r));
-    });
-    s.kstats.merge(r.kstats);
-    s.telemetry.merge(r.telemetry);
+    s.add(s.runs.back());
   }
 }
 

@@ -183,6 +183,12 @@ struct CellStats {
   std::vector<std::uint64_t> seeds;    // grid seeds, in grid order
   std::vector<ExperimentResult> runs;  // one result per seed, same order
 
+  // Kept by add(): runs folded, the first one's workload, and whether all
+  // passed source-integrity verification.
+  std::uint64_t run_count = 0;
+  workloads::WorkloadKind workload{};
+  bool source_ok = true;
+
   RunningStats overcharge;
   RunningStats billed_seconds;
   RunningStats billed_user_seconds;
@@ -222,10 +228,15 @@ struct CellStats {
   /// same gating and same schema exclusion as kstats.
   trace::Telemetry telemetry;
 
+  /// Folds one run into every member below. The one cell fold: the
+  /// RunQueue and the JSONL scanner (hence mtr_merge) both call it.
+  void add(const ExperimentResult& r);
+
   /// Visits every accumulator as f(name, stats, get) where `get` extracts
   /// the value one run contributes. The single source of truth tying the
-  /// member list to aggregation (RunQueue) and serialization
-  /// (JsonlSink) — add new accumulators here and every consumer follows.
+  /// member list to aggregation (add) and serialization
+  /// (write_cell_record) — add new accumulators here and every consumer
+  /// follows.
   template <typename F>
   void for_each_stat(F&& f) {
     visit_stats(*this, f);
@@ -249,8 +260,6 @@ struct CellStats {
   }
 
   const ExperimentResult& first_run() const { return runs.front(); }
-  /// True when every replicate passed source-integrity verification.
-  bool all_source_ok() const;
 
  private:
   template <typename Self, typename F>

@@ -438,22 +438,12 @@ int run_top_cells(const InspectOptions& options, std::ostream& out) {
     out << "note: " << scan.tail_error << " (partial tail ignored)\n";
   std::vector<CellGap> cells;
   for (const CellBlock& b : scan.blocks) {
-    if (!b.closed || b.cell_line.empty()) continue;
+    if (!b.closed) continue;
     CellGap c;
     c.coords = b.coords;
-    try {
-      const json::Value cell = json::parse_document(b.cell_line);
-      const auto mean = [&](const char* key) {
-        return json::get_f64(json::get_object(cell, key), "mean");
-      };
-      c.billed = mean("billed_seconds");
-      c.true_s = mean("true_seconds");
-      c.overcharge = mean("overcharge");
-    } catch (const std::runtime_error& e) {
-      throw std::runtime_error(options.jsonl_path + " cell " +
-                               std::to_string(b.coords.cell_index) + ": " +
-                               e.what());
-    }
+    c.billed = b.aggregate.billed_seconds.mean();
+    c.true_s = b.aggregate.true_seconds.mean();
+    c.overcharge = b.aggregate.overcharge.mean();
     c.gap = c.billed - c.true_s;
     cells.push_back(std::move(c));
   }

@@ -263,10 +263,6 @@ std::uint64_t get_u64(const Value& obj, std::string_view name) {
   return as_u64(require(obj, name), name);
 }
 
-std::int64_t get_i64(const Value& obj, std::string_view name) {
-  return as_i64(require(obj, name), name);
-}
-
 double get_f64(const Value& obj, std::string_view name) {
   return as_f64(require(obj, name), name);
 }
@@ -275,12 +271,6 @@ std::string get_string(const Value& obj, std::string_view name) {
   const Value& v = require(obj, name);
   if (v.kind != Value::Kind::kString) field_error(name, "is not a string");
   return v.text;
-}
-
-bool get_bool(const Value& obj, std::string_view name) {
-  const Value& v = require(obj, name);
-  if (v.kind != Value::Kind::kBool) field_error(name, "is not a boolean");
-  return v.boolean;
 }
 
 const Value& get_array(const Value& obj, std::string_view name) {

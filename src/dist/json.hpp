@@ -1,6 +1,6 @@
 // The one JSON reader of the dist layer: a small strict recursive-descent
-// parser behind the JSONL record scanner, mtr_merge's aggregate recompute,
-// the metrics.json parser, and mtr_inspect. Numbers keep their raw token so
+// parser behind the JSONL record scanner (and through it mtr_merge's
+// aggregate recompute), the metrics.json parser, and mtr_inspect. Numbers keep their raw token so
 // uint64 counters survive values a double round-trip would corrupt;
 // anything outside the closed grammar our writers emit is rejected with an
 // error naming the byte offset and the field being read.
@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -41,25 +40,10 @@ Value parse_document(std::string_view text);
 // mistyped field.
 const Value& require(const Value& obj, std::string_view name);
 std::uint64_t get_u64(const Value& obj, std::string_view name);
-std::int64_t get_i64(const Value& obj, std::string_view name);
 double get_f64(const Value& obj, std::string_view name);
 std::string get_string(const Value& obj, std::string_view name);
-bool get_bool(const Value& obj, std::string_view name);
 const Value& get_array(const Value& obj, std::string_view name);
 const Value& get_object(const Value& obj, std::string_view name);
-
-/// The getter for T, so visitors can fill typed members by key.
-template <class T>
-T get(const Value& obj, std::string_view name) {
-  if constexpr (std::is_same_v<T, std::string>) return get_string(obj, name);
-  else if constexpr (std::is_same_v<T, bool>) return get_bool(obj, name);
-  else if constexpr (std::is_same_v<T, double>) return get_f64(obj, name);
-  else if constexpr (std::is_same_v<T, std::int64_t>) return get_i64(obj, name);
-  else {
-    static_assert(std::is_same_v<T, std::uint64_t>);
-    return get_u64(obj, name);
-  }
-}
 
 // Scalar conversions of a bare number Value (array elements).
 std::uint64_t as_u64(const Value& v, std::string_view what);

@@ -7,7 +7,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "dist/json.hpp"
 #include "dist/metrics.hpp"
 #include "dist/records.hpp"
 #include "report/result_sink.hpp"
@@ -51,12 +50,6 @@ constexpr const char* kUsage =
   throw std::runtime_error(message + "\n\n" + kUsage);
 }
 
-/// "path:line" of a block's `i`-th run record (run lines are contiguous).
-std::string run_line_at(const std::string& path, const CellBlock& b,
-                        std::size_t i) {
-  return path + ":" + std::to_string(b.first_line + i);
-}
-
 bool has_suffix(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
@@ -85,8 +78,8 @@ GatheredBlocks gather_blocks(const std::vector<std::string>& inputs,
       throw MergeError(
           MergeFault::kCorrupt,
           scan.tail_error +
-              " — the shard looks killed mid-write; finish it with --resume "
-              "(or re-run it) before merging");
+              " — the shard looks killed mid-write or corrupted; finish it "
+              "with --resume (or re-run it) before merging");
     // A blockless file is fine: a shard can own zero cells of a small
     // sweep and still leave its (empty) output behind.
     for (CellBlock& b : scan.blocks) {
@@ -165,48 +158,6 @@ GatheredBlocks gather_blocks(const std::vector<std::string>& inputs,
   return cells;
 }
 
-/// Rebuilds the `record:"cell"` aggregate line from the block's run
-/// records, exactly the way JsonlSink computes it.
-std::string recompute_cell_line(const CellBlock& b, const std::string& path) {
-  report::CellSummary s;
-  s.coords = b.coords;
-  s.seeds = b.run_lines.size();
-  for (const std::string& key : cell_stat_keys()) s.stats.push_back({key, {}});
-  const auto& columns = cell_sketch_columns();
-  for (const auto& cols : columns)
-    s.sketches.emplace_back(cols.first, QuantileSketch{});
-
-  for (std::size_t i = 0; i < b.run_lines.size(); ++i) {
-    try {
-      const json::Value rec = json::parse_document(b.run_lines[i]);
-      s.workload = json::get_string(rec, "workload");  // constant within a cell
-      s.source_ok = s.source_ok && json::get_bool(rec, "source_ok");
-      for (report::CellStatSummary& st : s.stats)
-        st.stats.add(json::get_f64(rec, st.key));
-      // Run records carry the per-run sketches verbatim; merging them is
-      // exact (bucket counts sum), so the recomputed cell quantiles come
-      // out byte-identical to the single-process run.
-      for (std::size_t k = 0; k < columns.size(); ++k) {
-        const std::string& run_key = columns[k].second;
-        const auto sketch =
-            report::decode_sketch(json::get_string(rec, run_key));
-        if (!sketch)
-          throw std::runtime_error("field '" + run_key +
-                                   "' is not an encoded sketch");
-        s.sketches[k].second.merge(*sketch);
-      }
-    } catch (const std::runtime_error& e) {
-      throw MergeError(MergeFault::kCorrupt,
-                       run_line_at(path, b, i) + ": run record of " +
-                           describe_cell(b.coords) + ": " + e.what());
-    }
-  }
-
-  std::ostringstream os;
-  report::write_cell_record(os, s);
-  return os.str();
-}
-
 void write_output(const std::string& path, const std::string& bytes) {
   const std::filesystem::path parent = std::filesystem::path(path).parent_path();
   if (!parent.empty()) std::filesystem::create_directories(parent);
@@ -259,16 +210,17 @@ std::string merge_jsonl(const std::vector<std::string>& inputs,
       out += line;
       out += '\n';
     }
-    // Recompute the aggregate from the run records; a mismatch against
-    // what the shard wrote means the file was corrupted or hand-edited.
-    const std::string cell_line = recompute_cell_line(b, entry.second);
-    if (cell_line != b.cell_line + "\n")
+    // The cell line recomputed from the run records the scan decoded and
+    // folded; a mismatch against what the shard wrote means the file was
+    // corrupted or hand-edited.
+    const std::size_t cell_at = out.size();
+    report::write_cell_record(out, b.coords, b.aggregate);
+    if (std::string_view(out).substr(cell_at) != b.cell_line + '\n')
       throw MergeError(
           MergeFault::kCorrupt,
           entry.second + ": recomputed aggregate for " +
               describe_cell(b.coords) +
               " does not match the recorded summary — corrupt shard output?");
-    out += cell_line;
     if (cell_indices) cell_indices->push_back(index);
   }
   return out;

@@ -21,20 +21,17 @@ std::string at_byte(std::uint64_t offset) {
   return " (byte " + std::to_string(offset) + ")";
 }
 
-/// Strict parse of one CSV cell into a record member of type T.
+/// Decodes one JSON value into a record member through the token codec:
+/// text members must be JSON strings, bools literals, the rest numbers.
 template <class T>
-bool parse_csv_field(const std::string& text, T& out) {
-  if constexpr (std::is_same_v<T, std::string>) {
-    out = text;
-    return true;
-  } else if constexpr (std::is_same_v<T, bool>) {
-    if (text != "true" && text != "false") return false;
-    out = text == "true";
-    return true;
+bool decode_value(const json::Value& v, T& out) {
+  using Kind = json::Value::Kind;
+  if constexpr (std::is_same_v<T, bool>) {
+    out = v.boolean;
+    return v.kind == Kind::kBool;
   } else {
-    const std::optional<T> v = parse_number<T>(text);
-    if (v) out = *v;
-    return v.has_value();
+    return v.kind == (report::kTextToken<T> ? Kind::kString : Kind::kNumber) &&
+           report::parse_token(v.text, out);
   }
 }
 
@@ -56,28 +53,6 @@ std::string describe_cell(const report::CellCoords& c) {
          ", hz=" + std::to_string(c.hz) + "]";
 }
 
-std::vector<std::string> cell_stat_keys() {
-  std::vector<std::string> k;
-  core::CellStats cell;
-  cell.for_each_stat(
-      [&](const char* name, const RunningStats&, auto) { k.emplace_back(name); });
-  return k;
-}
-
-const std::vector<std::pair<std::string, std::string>>& cell_sketch_columns() {
-  static const std::vector<std::pair<std::string, std::string>> cols = [] {
-    std::vector<std::pair<std::string, std::string>> c;
-    core::CellStats cell;
-    cell.for_each_sketch([&](const char* name, const QuantileSketch&, auto) {
-      std::string dist = name;  // "pop_<x>_dist" -> run column "pop_<x>_sketch"
-      std::string run = dist.substr(0, dist.size() - 5) + "_sketch";
-      c.emplace_back(std::move(dist), std::move(run));
-    });
-    return c;
-  }();
-  return cols;
-}
-
 FileScan scan_jsonl(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) throw std::runtime_error("cannot open " + path);
@@ -88,6 +63,7 @@ FileScan scan_jsonl(const std::string& path) {
   std::uint64_t offset = 0;
   std::uint64_t line_no = 0;
   std::string line;
+  report::RunRecord run;  // reused: decoding assigns every table field
   // `offset` is the start of the line being examined when stop() fires,
   // which is exactly where the unusable tail begins.
   const auto stop = [&](std::string why) {
@@ -129,26 +105,44 @@ FileScan scan_jsonl(const std::string& path) {
     if (schema != report::kSchemaVersion)
       refuse_schema(path, line_no, offset, schema, report::kSchemaVersion);
 
-    report::CellCoords c;
-    std::uint64_t seed = 0, seed_index = 0, seeds = 0;
-    if (!read("record ", [&] {
-          report::for_each_coord(
-              [&](const char* key, auto& member) {
-                member = json::get<std::remove_cvref_t<decltype(member)>>(rec, key);
-              },
-              c);
-          if (record == "run") {
-            seed = json::get_u64(rec, "seed");
-            seed_index = json::get_u64(rec, "seed_index");
-          } else if (record == "cell") {
-            seeds = json::get_u64(rec, "seeds");
-          }
-        }))
+    // Every field after `record` and `schema` decodes in table order, or
+    // the scan stops naming the field.
+    std::size_t at = 2;
+    std::string bad;
+    const auto decode = [&](const char* key, auto& member) {
+      if (!bad.empty()) return;
+      if (at == rec.fields.size()) {
+        bad = std::string("record ends before field '") + key + "'";
+        return;
+      }
+      const auto& [name, value] = rec.fields[at++];
+      if (name != key)
+        bad = "record has field '" + name + "' where '" + key + "' belongs";
+      else if (!decode_value(value, member))
+        bad = std::string("field '") + key + "' does not decode";
+    };
+    report::CellCoords cell_coords;
+    std::uint64_t seeds = 0;
+    if (record == "run") {
+      report::for_each_run_field(decode, run);
+      if (bad.empty() && at != rec.fields.size())
+        bad = "record has field '" + rec.fields[at].first +
+              "' after the last one of the run-record table";
+    } else if (record == "cell") {
+      report::for_each_coord(decode, cell_coords);
+      if (bad.empty() &&
+          !read("record ", [&] { seeds = json::get_u64(rec, "seeds"); }))
+        break;
+    }
+    if (!bad.empty()) {
+      stop(where(path, line_no) + ": " + bad);
       break;
+    }
+    const report::CellCoords& c = record == "run" ? run.coords : cell_coords;
 
     if (record == "run") {
       if (!has_open) {
-        if (seed_index != 0) {
+        if (run.seed_index != 0) {
           stop(where(path, line_no) + ": run records of cell " +
                std::to_string(c.cell_index) + " start mid-cell");
           break;
@@ -162,13 +156,14 @@ FileScan scan_jsonl(const std::string& path) {
              std::to_string(open.coords.cell_index) +
              " has run records but no summary");
         break;
-      } else if (seed_index != open.seeds.size()) {
+      } else if (run.seed_index != open.seeds.size()) {
         stop(where(path, line_no) + ": seed_index discontinuity in cell " +
              std::to_string(c.cell_index));
         break;
       }
-      open.seeds.push_back(seed);
+      open.seeds.push_back(run.seed);
       open.run_lines.push_back(std::move(line));
+      open.aggregate.add(run.result);
     } else if (record == "cell") {
       if (!has_open || c != open.coords) {
         stop(where(path, line_no) + ": cell summary for cell " +
@@ -276,7 +271,7 @@ FileScan scan_csv(const std::string& path) {
     // value into resume/merge decisions.
     std::size_t bad = row.size();  // column of the first unparseable field
     const auto parse = [&](std::size_t i, auto& out) {
-      if (bad == row.size() && !parse_csv_field(row[i], out)) bad = i;
+      if (bad == row.size() && !report::parse_token(row[i], out)) bad = i;
     };
     std::uint64_t schema = 0;
     parse(c_schema, schema);

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/parse.hpp"
@@ -33,6 +32,9 @@ struct CellBlock {
   std::vector<std::uint64_t> seeds;    // one per run record, in file order
   std::vector<std::string> run_lines;  // verbatim rows / JSONL run lines
   std::string cell_line;               // JSONL only: the summary line
+  /// JSONL only: the decoded run records folded by core::CellStats::add
+  /// (`coords` holds the coordinates; its own stay default).
+  core::CellStats aggregate;
   /// True when the block provably ended: JSONL blocks close on their cell
   /// record; CSV blocks close when the next block starts (the final CSV
   /// block at EOF stays open — the file alone cannot prove it complete).
@@ -53,16 +55,19 @@ struct FileScan {
   std::string tail_error;   // why, when !clean
 };
 
-/// Scans a JsonlSink file. Throws std::runtime_error when the file cannot
-/// be opened or a record carries a schema version other than
-/// report::kSchemaVersion (see refuse_schema). A line the JSON reader
-/// rejects, or a record missing a field, instead stops the scan
-/// (clean=false) so callers can treat the tail as a crash artifact.
+/// Scans a JsonlSink file, decoding each run record once, positionally
+/// against report::for_each_run_field, into its block's aggregate. Throws
+/// std::runtime_error when the file cannot be opened or a record carries a
+/// schema version other than report::kSchemaVersion (see refuse_schema).
+/// A line the JSON reader rejects, or a record with a missing, misplaced
+/// or undecodable field, instead stops the scan (clean=false) naming the
+/// line and field, so callers can treat the tail as a crash artifact.
 FileScan scan_jsonl(const std::string& path);
 
-/// Scans a CsvSink file. Throws on open failure, on a header that is not
-/// the run_schema_keys() layout (naming the version of the first row when
-/// it has one), and on rows of another schema version.
+/// Scans a CsvSink file, decoding only the coordinate and seed columns.
+/// Throws on open failure, on a header that is not the run_schema_keys()
+/// layout (naming the version of the first row when it has one), and on
+/// rows of another schema version.
 FileScan scan_csv(const std::string& path);
 
 /// Throws the refusal of a record or metrics file written in another
@@ -74,15 +79,5 @@ FileScan scan_csv(const std::string& path);
 
 /// "cell N [sweep=…, attack=…, scheduler=…, hz=…]" for error reports.
 std::string describe_cell(const report::CellCoords& c);
-
-/// The canonical aggregate keys of a `record:"cell"` line, in
-/// CellStats::for_each_stat order — what mtr_merge recomputes.
-std::vector<std::string> cell_stat_keys();
-
-/// The distribution aggregates of a cell record as (cell-record key,
-/// run-record column) pairs in CellStats::for_each_sketch order — e.g.
-/// ("pop_billing_error_dist", "pop_billing_error_sketch"). mtr_merge
-/// decodes the run column of every run, merges, and re-emits the summary.
-const std::vector<std::pair<std::string, std::string>>& cell_sketch_columns();
 
 }  // namespace mtr::dist

@@ -5,17 +5,12 @@
 
 #include "common/ensure.hpp"
 #include "common/parse.hpp"
+#include "common/table.hpp"
 #include "crypto/digest.hpp"
 #include "workloads/workloads.hpp"
 
 namespace mtr::report {
 namespace {
-
-std::string fmt_f64(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 std::unique_ptr<std::ostream> open_file(const std::string& path, OpenMode mode) {
   auto file = std::make_unique<std::ofstream>(
@@ -25,15 +20,63 @@ std::unique_ptr<std::ostream> open_file(const std::string& path, OpenMode mode) 
   return file;
 }
 
-/// Joined "object (tag)" list; rows keep one column however many there are.
-std::string join_violations(const std::vector<std::string>& violations) {
-  std::string out;
-  for (const std::string& v : violations) {
-    if (!out.empty()) out += "; ";
-    out += v;
+void append_json_escaped(std::string& out, std::string_view s) {
+  for (char ch : s) {
+    switch (ch) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(ch) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(ch));
+          out += buf;
+        } else {
+          out += ch;
+        }
+    }
   }
-  return out;
 }
+
+/// One member as a CSV cell.
+template <class T>
+void append_csv_field(std::string& out, std::string& scratch, const T& v) {
+  if constexpr (kTextToken<T>) {
+    scratch.clear();
+    append_token(scratch, v);
+    append_csv_cell(out, scratch);
+  } else {
+    append_token(out, v);
+  }
+}
+
+/// One member as `,"key":value` of a JSON object.
+template <class T>
+void append_json_field(std::string& out, std::string& scratch, const char* key,
+                       const T& v) {
+  out += ",\"";
+  out += key;
+  out += "\":";
+  if constexpr (kTextToken<T>) {
+    scratch.clear();
+    append_token(scratch, v);
+    out += '"';
+    append_json_escaped(out, scratch);
+    out += '"';
+  } else {
+    append_token(out, v);
+  }
+}
+
+/// The sinks' view of run `seed_i` of `cell`, walked by for_each_run_field.
+struct RunView {
+  const CellCoords& coords;
+  std::uint64_t seed;
+  std::uint64_t seed_index;
+  const core::ExperimentResult& result;
+};
 
 SinkFlushHook& sink_flush_hook() {
   static SinkFlushHook hook;
@@ -46,115 +89,119 @@ void set_sink_flush_hook(SinkFlushHook hook) {
   sink_flush_hook() = std::move(hook);
 }
 
-std::vector<Field> flatten_run(const std::string& sweep,
-                               const core::CellStats& cell,
-                               std::size_t seed_i) {
-  const core::ExperimentResult& r = cell.runs.at(seed_i);
-  std::vector<Field> f;
-  f.reserve(48);
-  const auto u64 = [](std::uint64_t v) { return FieldValue{v}; };
-  const auto i64 = [](std::int64_t v) { return FieldValue{v}; };
-
-  const CellCoords coords = record_coords(sweep, cell.cell_index, cell);
-  const auto coord = [&f](const char* key, const auto& v) {
-    f.push_back({key, FieldValue{v}});
-  };
-
-  // Record identity + cell coordinates.
-  f.push_back({"schema", u64(kSchemaVersion)});
-  for_each_lead_coord(coord, coords);
-  f.push_back({"seed", u64(cell.seeds.at(seed_i))});
-  f.push_back({"seed_index", u64(seed_i)});
-
-  // ExperimentResult, every field, declaration order.
-  f.push_back({"workload", std::string(workloads::short_name(r.kind))});
-  f.push_back({"attack_name", r.attack_name});
-  f.push_back({"victim_pid", i64(r.victim_pid.v)});
-  f.push_back({"victim_tgid", i64(r.victim_tgid.v)});
-  f.push_back({"victim_exited", r.victim_exited});
-  f.push_back({"wall_seconds", r.wall_seconds});
-  f.push_back({"billed_utime_ticks", u64(r.billed_ticks.utime.v)});
-  f.push_back({"billed_stime_ticks", u64(r.billed_ticks.stime.v)});
-  f.push_back({"billed_user_seconds", r.billed_user_seconds});
-  f.push_back({"billed_system_seconds", r.billed_system_seconds});
-  f.push_back({"billed_seconds", r.billed_seconds});
-  f.push_back({"true_user_cycles", u64(r.true_cycles.user.v)});
-  f.push_back({"true_system_cycles", u64(r.true_cycles.system.v)});
-  f.push_back({"true_seconds", r.true_seconds});
-  f.push_back({"tsc_user_cycles", u64(r.tsc_cycles.user.v)});
-  f.push_back({"tsc_system_cycles", u64(r.tsc_cycles.system.v)});
-  f.push_back({"tsc_seconds", r.tsc_seconds});
-  f.push_back({"pais_user_cycles", u64(r.pais_cycles.user.v)});
-  f.push_back({"pais_system_cycles", u64(r.pais_cycles.system.v)});
-  f.push_back({"pais_seconds", r.pais_seconds});
-  f.push_back({"overcharge", r.overcharge});
-  f.push_back({"source_ok", r.source_verdict.ok});
-  f.push_back({"source_violations", join_violations(r.source_verdict.violations)});
-  f.push_back({"witness", crypto::to_hex(r.witness)});
-  f.push_back({"witness_steps", u64(r.witness_steps)});
-  f.push_back({"minor_faults", u64(r.minor_faults)});
-  f.push_back({"major_faults", u64(r.major_faults)});
-  f.push_back({"debug_exceptions", u64(r.debug_exceptions)});
-  f.push_back({"voluntary_switches", u64(r.voluntary_switches)});
-  f.push_back({"involuntary_switches", u64(r.involuntary_switches)});
-  f.push_back({"nic_packets", u64(r.nic_packets)});
-  f.push_back({"has_attacker", r.has_attacker});
-  f.push_back({"attacker_utime_ticks", u64(r.attacker_ticks.utime.v)});
-  f.push_back({"attacker_stime_ticks", u64(r.attacker_ticks.stime.v)});
-  f.push_back({"attacker_billed_seconds", r.attacker_billed_seconds});
-  f.push_back({"attacker_true_user_cycles", u64(r.attacker_true_cycles.user.v)});
-  f.push_back({"attacker_true_system_cycles", u64(r.attacker_true_cycles.system.v)});
-  f.push_back({"attacker_true_seconds", r.attacker_true_seconds});
-
-  // Population metering (schema v4), appended after every older column.
-  for_each_population_coord(coord, coords);
-  f.push_back({"pop_tenants", u64(r.pop_tenants)});
-  f.push_back({"pop_attackers", u64(r.pop_attackers)});
-  f.push_back({"pop_flagged_attackers", u64(r.pop_flagged_attackers)});
-  f.push_back({"pop_flagged_honest", u64(r.pop_flagged_honest)});
-  f.push_back({"pop_billing_error_mean", r.pop_billing_error_mean});
-  f.push_back({"pop_billing_error_p99", r.pop_billing_error_p99});
-  f.push_back({"pop_attacker_advantage_mean", r.pop_attacker_advantage_mean});
-  f.push_back({"pop_detection_tpr", r.pop_detection_tpr});
-  f.push_back({"pop_detection_fpr", r.pop_detection_fpr});
-  f.push_back({"pop_billing_error_sketch", encode_sketch(r.pop_billing_error)});
-  f.push_back({"pop_billed_sketch", encode_sketch(r.pop_billed_seconds)});
-  f.push_back({"pop_true_sketch", encode_sketch(r.pop_true_seconds)});
-  f.push_back({"pop_advantage_sketch", encode_sketch(r.pop_attacker_advantage)});
-  return f;
-}
-
 std::vector<std::string> run_schema_keys() {
-  core::CellStats cell;
-  cell.seeds = {0};
-  cell.runs.emplace_back();
-  std::vector<std::string> keys;
-  for (Field& f : flatten_run("", cell, 0)) keys.push_back(std::move(f.key));
+  std::vector<std::string> keys{"schema"};
+  RunRecord layout;
+  for_each_run_field([&](const char* key, auto&) { keys.emplace_back(key); },
+                     layout);
   return keys;
 }
 
+void append_token(std::string& out, bool v) { out += v ? "true" : "false"; }
+
+void append_token(std::string& out, double v) {
+  char buf[32];
+  const int n = std::snprintf(buf, sizeof buf, "%.17g", v);
+  out.append(buf, static_cast<std::size_t>(n));
+}
+
+void append_token(std::string& out, std::string_view v) { out += v; }
+
+void append_token(std::string& out, workloads::WorkloadKind v) {
+  out += workloads::short_name(v);
+}
+
+void append_token(std::string& out, const std::vector<std::string>& v) {
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i) out += "; ";
+    out += v[i];
+  }
+}
+
+void append_token(std::string& out, const crypto::Digest32& v) {
+  out += crypto::to_hex(v);
+}
+
+void append_token(std::string& out, const QuantileSketch& v) {
+  append_token(out, v.count());
+  out += ';';
+  append_token(out, v.zero_count());
+  out += ';';
+  append_token(out, v.min());
+  out += ';';
+  append_token(out, v.max());
+  for (const QuantileSketch::Buckets* buckets : {&v.positive(), &v.negative()}) {
+    out += ';';
+    bool first = true;
+    for (const auto& [index, n] : *buckets) {
+      if (!first) out += ' ';
+      first = false;
+      append_token(out, index);
+      out += ':';
+      append_token(out, n);
+    }
+  }
+}
+
+bool parse_token(std::string_view text, bool& out) {
+  if (text != "true" && text != "false") return false;
+  out = text == "true";
+  return true;
+}
+
+bool parse_token(std::string_view text, std::string& out) {
+  out = text;
+  return true;
+}
+
+bool parse_token(std::string_view text, workloads::WorkloadKind& out) {
+  using workloads::WorkloadKind;
+  for (const WorkloadKind k : {WorkloadKind::kOurs, WorkloadKind::kPi,
+                               WorkloadKind::kWhetstone, WorkloadKind::kBrute})
+    if (text == workloads::short_name(k)) {
+      out = k;
+      return true;
+    }
+  return false;
+}
+
+bool parse_token(std::string_view text, std::vector<std::string>& out) {
+  out.clear();
+  if (text.empty()) return true;
+  for (;;) {
+    const std::size_t sep = text.find("; ");
+    const std::string_view item = text.substr(0, sep);
+    if (item.empty()) return false;  // the writer never joins an empty entry
+    out.emplace_back(item);
+    if (sep == std::string_view::npos) return true;
+    text.remove_prefix(sep + 2);
+  }
+}
+
+bool parse_token(std::string_view text, crypto::Digest32& out) {
+  if (text.size() != 2 * out.bytes.size()) return false;
+  const auto nibble = [](char c) {
+    if (c >= '0' && c <= '9') return c - '0';
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    return -1;  // to_hex writes lowercase only
+  };
+  for (std::size_t i = 0; i < out.bytes.size(); ++i) {
+    const int hi = nibble(text[2 * i]), lo = nibble(text[2 * i + 1]);
+    if (hi < 0 || lo < 0) return false;
+    out.bytes[i] = static_cast<std::uint8_t>(hi << 4 | lo);
+  }
+  return true;
+}
+
+bool parse_token(std::string_view text, QuantileSketch& out) {
+  std::optional<QuantileSketch> s = decode_sketch(text);
+  if (s) out = std::move(*s);
+  return s.has_value();
+}
+
 std::string encode_sketch(const QuantileSketch& s) {
-  std::string out = std::to_string(s.count());
-  out += ';';
-  out += std::to_string(s.zero_count());
-  out += ';';
-  out += fmt_f64(s.min());
-  out += ';';
-  out += fmt_f64(s.max());
-  out += ';';
-  bool first = true;
-  for (const auto& [index, n] : s.positive()) {
-    if (!first) out += ' ';
-    first = false;
-    out += std::to_string(index) + ':' + std::to_string(n);
-  }
-  out += ';';
-  first = true;
-  for (const auto& [index, n] : s.negative()) {
-    if (!first) out += ' ';
-    first = false;
-    out += std::to_string(index) + ':' + std::to_string(n);
-  }
+  std::string out;
+  append_token(out, s);
   return out;
 }
 
@@ -230,69 +277,12 @@ std::vector<std::string> split_csv_line(const std::string& line) {
 }
 
 void write_csv_header(std::ostream& os) {
-  const std::vector<std::string> keys = run_schema_keys();
-  for (std::size_t i = 0; i < keys.size(); ++i)
-    os << (i ? "," : "") << csv_escape(keys[i]);
-  os << '\n';
-}
-
-std::string csv_escape(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char ch : s) {
-    if (ch == '"') out += '"';
-    out += ch;
+  std::string line;
+  for (const std::string& key : run_schema_keys()) {
+    if (!line.empty()) line += ',';
+    append_csv_cell(line, key);
   }
-  out += '"';
-  return out;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(ch));
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
-
-std::string format_csv(const FieldValue& v) {
-  return std::visit(
-      [](const auto& x) -> std::string {
-        using T = std::decay_t<decltype(x)>;
-        if constexpr (std::is_same_v<T, bool>) return x ? "true" : "false";
-        else if constexpr (std::is_same_v<T, double>) return fmt_f64(x);
-        else if constexpr (std::is_same_v<T, std::string>) return csv_escape(x);
-        else return std::to_string(x);
-      },
-      v);
-}
-
-std::string format_json(const FieldValue& v) {
-  return std::visit(
-      [](const auto& x) -> std::string {
-        using T = std::decay_t<decltype(x)>;
-        if constexpr (std::is_same_v<T, bool>) return x ? "true" : "false";
-        else if constexpr (std::is_same_v<T, double>) return fmt_f64(x);
-        else if constexpr (std::is_same_v<T, std::string>)
-          return '"' + json_escape(x) + '"';
-        else return std::to_string(x);
-      },
-      v);
+  os << line << '\n';
 }
 
 CsvSink::CsvSink(const std::string& path, OpenMode mode)
@@ -311,12 +301,16 @@ void CsvSink::write_cell(const std::string& sweep, const core::CellStats& cell) 
   }
   if (buf_.capacity() == 0) buf_.reserve(4096);
   buf_.clear();  // keeps capacity: no steady-state reallocation
+  const CellCoords coords = record_coords(sweep, cell.cell_index, cell);
   for (std::size_t seed_i = 0; seed_i < cell.runs.size(); ++seed_i) {
-    const std::vector<Field> fields = flatten_run(sweep, cell, seed_i);
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      if (i) buf_ += ',';
-      buf_ += format_csv(fields[i].value);
-    }
+    const RunView run{coords, cell.seeds.at(seed_i), seed_i, cell.runs[seed_i]};
+    append_token(buf_, kSchemaVersion);
+    for_each_run_field(
+        [&](const char*, const auto& v) {
+          buf_ += ',';
+          append_csv_field(buf_, token_, v);
+        },
+        run);
     buf_ += '\n';
   }
   *os_ << buf_;
@@ -331,70 +325,74 @@ JsonlSink::JsonlSink(const std::string& path, OpenMode mode)
 
 JsonlSink::JsonlSink(std::ostream& os) : os_(&os) {}
 
-CellSummary summarize_cell(const std::string& sweep, const core::CellStats& cell) {
-  CellSummary s;
-  s.coords = record_coords(sweep, cell.cell_index, cell);
-  s.workload = cell.runs.empty() ? "" : workloads::short_name(cell.runs.front().kind);
-  s.seeds = cell.runs.size();
-  s.source_ok = cell.all_source_ok();
-  cell.for_each_stat([&](const char* key, const RunningStats& stat, auto) {
-    s.stats.push_back({key, stat});
-  });
-  cell.for_each_sketch([&](const char* key, const QuantileSketch& sketch, auto) {
-    s.sketches.emplace_back(key, sketch);
-  });
-  return s;
-}
-
-void write_cell_record(std::ostream& os, const CellSummary& s) {
-  os << "{\"record\":\"cell\",\"schema\":" << kSchemaVersion;
+void write_cell_record(std::string& out, const CellCoords& coords,
+                       const core::CellStats& cell) {
+  std::string scratch;
+  out += "{\"record\":\"cell\",\"schema\":";
+  append_token(out, kSchemaVersion);
   for_each_coord(
       [&](const char* key, const auto& v) {
-        os << ",\"" << key << "\":" << format_json(FieldValue{v});
+        append_json_field(out, scratch, key, v);
       },
-      s.coords);
-  os << ",\"workload\":\"" << json_escape(s.workload) << "\",\"seeds\":" << s.seeds
-     << ",\"source_ok\":" << (s.source_ok ? "true" : "false");
-  for (const CellStatSummary& st : s.stats) {
-    os << ",\"" << json_escape(st.key) << "\":{\"n\":" << st.stats.count()
-       << ",\"mean\":" << fmt_f64(st.stats.mean())
-       << ",\"stddev\":" << fmt_f64(st.stats.stddev())
-       << ",\"min\":" << fmt_f64(st.stats.min())
-       << ",\"max\":" << fmt_f64(st.stats.max()) << '}';
-  }
+      coords);
+  out += ",\"workload\":\"";
+  if (cell.run_count) append_token(out, cell.workload);
+  out += "\",\"seeds\":";
+  append_token(out, cell.run_count);
+  out += ",\"source_ok\":";
+  append_token(out, cell.source_ok);
+  const auto number = [&](const char* key, auto v) {
+    out += key;
+    append_token(out, v);
+  };
+  cell.for_each_stat([&](const char* key, const RunningStats& st, auto) {
+    out += ",\"";
+    out += key;
+    number("\":{\"n\":", st.count());
+    number(",\"mean\":", st.mean());
+    number(",\"stddev\":", st.stddev());
+    number(",\"min\":", st.min());
+    number(",\"max\":", st.max());
+    out += '}';
+  });
   // Distribution aggregates: quantile summaries of the merged sketches.
   // Derived (not stored) values only — the full sketch lives in the run
   // records, which is what lets mtr_merge recompute this line byte-exactly.
-  for (const auto& [key, sk] : s.sketches) {
-    os << ",\"" << json_escape(key) << "\":{\"n\":" << sk.count()
-       << ",\"min\":" << fmt_f64(sk.min()) << ",\"max\":" << fmt_f64(sk.max())
-       << ",\"p50\":" << fmt_f64(sk.quantile(0.5))
-       << ",\"p90\":" << fmt_f64(sk.quantile(0.9))
-       << ",\"p99\":" << fmt_f64(sk.quantile(0.99)) << '}';
-  }
-  os << "}\n";
+  cell.for_each_sketch([&](const char* key, const QuantileSketch& sk, auto) {
+    out += ",\"";
+    out += key;
+    number("\":{\"n\":", sk.count());
+    number(",\"min\":", sk.min());
+    number(",\"max\":", sk.max());
+    number(",\"p50\":", sk.quantile(0.5));
+    number(",\"p90\":", sk.quantile(0.9));
+    number(",\"p99\":", sk.quantile(0.99));
+    out += '}';
+  });
+  out += "}\n";
 }
 
 void JsonlSink::write_cell(const std::string& sweep, const core::CellStats& cell) {
   if (sink_flush_hook()) sink_flush_hook()("jsonl");
   if (buf_.capacity() == 0) buf_.reserve(8192);
   buf_.clear();  // keeps capacity: no steady-state reallocation
+  const CellCoords coords = record_coords(sweep, cell.cell_index, cell);
   for (std::size_t seed_i = 0; seed_i < cell.runs.size(); ++seed_i) {
-    buf_ += "{\"record\":\"run\"";
-    for (const Field& f : flatten_run(sweep, cell, seed_i)) {
-      buf_ += ",\"";
-      buf_ += json_escape(f.key);
-      buf_ += "\":";
-      buf_ += format_json(f.value);
-    }
+    const RunView run{coords, cell.seeds.at(seed_i), seed_i, cell.runs[seed_i]};
+    buf_ += "{\"record\":\"run\",\"schema\":";
+    append_token(buf_, kSchemaVersion);
+    for_each_run_field(
+        [&](const char* key, const auto& v) {
+          append_json_field(buf_, token_, key, v);
+        },
+        run);
     buf_ += "}\n";
   }
-  *os_ << buf_;
-
   // Per-cell aggregate summary — the numbers a figure plots directly.
   // Emitted through the shared write_cell_record so merged shard output
   // stays byte-identical to this line.
-  write_cell_record(*os_, summarize_cell(sweep, cell));
+  write_cell_record(buf_, coords, cell);
+  *os_ << buf_;
   os_->flush();
   MTR_ENSURE_MSG(os_->good(), "JSONL sink write failed (disk full or closed?)");
 }

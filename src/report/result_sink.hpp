@@ -3,11 +3,13 @@
 // A ResultSink receives every completed BatchRunner cell and persists it
 // incrementally — one flat record per replicate run, flushed per cell — so
 // long sweeps stream to disk as they go and a killed sweep keeps what it
-// finished. CsvSink and JsonlSink share one canonical field list
-// (flatten_run), so the two formats cannot drift apart; MultiSink fans a
-// cell out to several sinks at once.
+// finished. CsvSink and JsonlSink walk one run-record table
+// (for_each_run_field) through one token codec, so the two formats cannot
+// drift apart; MultiSink fans a cell out to several sinks at once.
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -15,10 +17,11 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
-#include <variant>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "core/batch_runner.hpp"
 
 namespace mtr::report {
@@ -129,66 +132,137 @@ std::string encode_sketch(const QuantileSketch& sketch);
 /// Strict inverse of encode_sketch: nullopt on any malformed token.
 std::optional<QuantileSketch> decode_sketch(std::string_view token);
 
-/// One serialized field. The variant arm picks the CSV/JSON rendering:
-/// bools become true/false, doubles render round-trippably (%.17g).
-using FieldValue =
-    std::variant<bool, std::int64_t, std::uint64_t, double, std::string>;
-
-struct Field {
-  std::string key;
-  FieldValue value;
+/// One run record: its cell's coordinates, the replicate's grid seed and
+/// index, and the run's result.
+struct RunRecord {
+  CellCoords coords;
+  std::uint64_t seed = 0;
+  std::uint64_t seed_index = 0;
+  core::ExperimentResult result;
 };
 
-/// The canonical record for run `seed_i` of `cell`: sweep name, cell
-/// coordinates, grid seed, then every ExperimentResult field. Both sinks
-/// emit exactly this list in exactly this order.
-std::vector<Field> flatten_run(const std::string& sweep,
-                               const core::CellStats& cell,
-                               std::size_t seed_i);
+/// Calls f(key, member...) for every field of a run record after its
+/// `schema` stamp, in record order: the one declaration of the layout that
+/// the sinks write and the scanners decode. Each argument is a RunRecord or
+/// any struct with its four members (the sinks pass a view, copying
+/// nothing); pass two to walk them side by side.
+template <class F, class... R>
+void for_each_run_field(F&& f, R&... rec) {
+  for_each_lead_coord(f, rec.coords...);
+  f("seed", rec.seed...);
+  f("seed_index", rec.seed_index...);
+  // ExperimentResult, every field, declaration order.
+  f("workload", rec.result.kind...);
+  f("attack_name", rec.result.attack_name...);
+  f("victim_pid", rec.result.victim_pid.v...);
+  f("victim_tgid", rec.result.victim_tgid.v...);
+  f("victim_exited", rec.result.victim_exited...);
+  f("wall_seconds", rec.result.wall_seconds...);
+  f("billed_utime_ticks", rec.result.billed_ticks.utime.v...);
+  f("billed_stime_ticks", rec.result.billed_ticks.stime.v...);
+  f("billed_user_seconds", rec.result.billed_user_seconds...);
+  f("billed_system_seconds", rec.result.billed_system_seconds...);
+  f("billed_seconds", rec.result.billed_seconds...);
+  f("true_user_cycles", rec.result.true_cycles.user.v...);
+  f("true_system_cycles", rec.result.true_cycles.system.v...);
+  f("true_seconds", rec.result.true_seconds...);
+  f("tsc_user_cycles", rec.result.tsc_cycles.user.v...);
+  f("tsc_system_cycles", rec.result.tsc_cycles.system.v...);
+  f("tsc_seconds", rec.result.tsc_seconds...);
+  f("pais_user_cycles", rec.result.pais_cycles.user.v...);
+  f("pais_system_cycles", rec.result.pais_cycles.system.v...);
+  f("pais_seconds", rec.result.pais_seconds...);
+  f("overcharge", rec.result.overcharge...);
+  f("source_ok", rec.result.source_verdict.ok...);
+  f("source_violations", rec.result.source_verdict.violations...);
+  f("witness", rec.result.witness...);
+  f("witness_steps", rec.result.witness_steps...);
+  f("minor_faults", rec.result.minor_faults...);
+  f("major_faults", rec.result.major_faults...);
+  f("debug_exceptions", rec.result.debug_exceptions...);
+  f("voluntary_switches", rec.result.voluntary_switches...);
+  f("involuntary_switches", rec.result.involuntary_switches...);
+  f("nic_packets", rec.result.nic_packets...);
+  f("has_attacker", rec.result.has_attacker...);
+  f("attacker_utime_ticks", rec.result.attacker_ticks.utime.v...);
+  f("attacker_stime_ticks", rec.result.attacker_ticks.stime.v...);
+  f("attacker_billed_seconds", rec.result.attacker_billed_seconds...);
+  f("attacker_true_user_cycles", rec.result.attacker_true_cycles.user.v...);
+  f("attacker_true_system_cycles", rec.result.attacker_true_cycles.system.v...);
+  f("attacker_true_seconds", rec.result.attacker_true_seconds...);
+  // Population metering (schema v4), appended after every older column.
+  for_each_population_coord(f, rec.coords...);
+  f("pop_tenants", rec.result.pop_tenants...);
+  f("pop_attackers", rec.result.pop_attackers...);
+  f("pop_flagged_attackers", rec.result.pop_flagged_attackers...);
+  f("pop_flagged_honest", rec.result.pop_flagged_honest...);
+  f("pop_billing_error_mean", rec.result.pop_billing_error_mean...);
+  f("pop_billing_error_p99", rec.result.pop_billing_error_p99...);
+  f("pop_attacker_advantage_mean", rec.result.pop_attacker_advantage_mean...);
+  f("pop_detection_tpr", rec.result.pop_detection_tpr...);
+  f("pop_detection_fpr", rec.result.pop_detection_fpr...);
+  f("pop_billing_error_sketch", rec.result.pop_billing_error...);
+  f("pop_billed_sketch", rec.result.pop_billed_seconds...);
+  f("pop_true_sketch", rec.result.pop_true_seconds...);
+  f("pop_advantage_sketch", rec.result.pop_attacker_advantage...);
+}
 
-/// The record's keys in emission order (the CSV header), derived from a
-/// flatten_run of a default-constructed cell.
+/// The CSV header: `schema`, then the keys of for_each_run_field.
 std::vector<std::string> run_schema_keys();
 
-std::string format_csv(const FieldValue& v);
-std::string format_json(const FieldValue& v);
+// The token codec: one record member as text, before CSV or JSON quoting.
+// Bools are true/false, doubles %.17g (round-trips binary64), a workload
+// its short name, violations joined with "; ", a digest lowercase hex, a
+// sketch its encode_sketch token. parse_token is the strict inverse.
 
-/// RFC-4180 escaping: wraps in quotes (doubling embedded quotes) when the
-/// cell contains a comma, quote, or newline.
-std::string csv_escape(const std::string& s);
-std::string json_escape(const std::string& s);
+/// Members whose token is text, which JSON quotes and CSV may escape.
+template <class T>
+inline constexpr bool kTextToken = !std::is_arithmetic_v<T>;
 
-/// Inverse of csv_escape for one line: splits on unquoted commas, undoing
-/// quoting and doubled quotes. Our records never embed newlines, so a line
-/// is always a whole row.
+void append_token(std::string& out, bool v);
+void append_token(std::string& out, double v);
+void append_token(std::string& out, std::string_view v);
+void append_token(std::string& out, workloads::WorkloadKind v);
+void append_token(std::string& out, const std::vector<std::string>& v);
+void append_token(std::string& out, const crypto::Digest32& v);
+void append_token(std::string& out, const QuantileSketch& v);
+template <std::integral T>
+void append_token(std::string& out, T v) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
+}
+
+bool parse_token(std::string_view text, bool& out);
+bool parse_token(std::string_view text, std::string& out);
+bool parse_token(std::string_view text, workloads::WorkloadKind& out);
+bool parse_token(std::string_view text, std::vector<std::string>& out);
+bool parse_token(std::string_view text, crypto::Digest32& out);
+bool parse_token(std::string_view text, QuantileSketch& out);
+template <class T>
+  requires std::is_arithmetic_v<T>
+bool parse_token(std::string_view text, T& out) {
+  const std::optional<T> v = parse_number<T>(text);
+  if (v) out = *v;
+  return v.has_value();
+}
+
+/// Inverse of append_csv_cell over one line: splits on unquoted commas,
+/// undoing quoting and doubled quotes. Our records never embed newlines,
+/// so a line is always a whole row.
 std::vector<std::string> split_csv_line(const std::string& line);
 
 /// Writes the canonical CSV header row (run_schema_keys, escaped). Shared
 /// by CsvSink and mtr_merge so merged files are byte-identical.
 void write_csv_header(std::ostream& os);
 
-/// The aggregate half of a `record:"cell"` JSONL line, decoupled from
-/// CellStats so mtr_merge can recompute it from parsed run records.
-struct CellStatSummary {
-  std::string key;
-  RunningStats stats;
-};
-struct CellSummary {
-  CellCoords coords;
-  std::string workload;
-  std::uint64_t seeds = 0;
-  bool source_ok = true;
-  std::vector<CellStatSummary> stats;  // CellStats::for_each_stat order
-  /// Distribution aggregates (CellStats::for_each_sketch order), rendered
-  /// as {n, min, max, p50, p90, p99}.
-  std::vector<std::pair<std::string, QuantileSketch>> sketches;
-};
-CellSummary summarize_cell(const std::string& sweep, const core::CellStats& cell);
-
-/// Writes one `record:"cell"` JSONL line. The single emitter behind
-/// JsonlSink and mtr_merge: merged aggregates recomputed from run records
-/// come out byte-identical to the single-machine line.
-void write_cell_record(std::ostream& os, const CellSummary& summary);
+/// Appends the `record:"cell"` JSONL line of the cell at `coords`, reading
+/// its run count, workload, source verdict and aggregates from what
+/// CellStats::add folded in. The single emitter behind JsonlSink and
+/// mtr_merge, so an aggregate recomputed from run records comes out
+/// byte-identical to the single-machine line.
+void write_cell_record(std::string& out, const CellCoords& coords,
+                       const core::CellStats& cell);
 
 /// Streaming consumer of completed sweep cells.
 class ResultSink {
@@ -251,6 +325,7 @@ class CsvSink final : public ResultSink {
   /// Reused per-cell line buffer: rows are assembled here and written with
   /// one stream insertion, so steady-state sweeps stop reallocating.
   std::string buf_;
+  std::string token_;  // reused scratch for one text token
 };
 
 /// One JSON object per line. Run records carry `"record":"run"` and the
@@ -269,8 +344,9 @@ class JsonlSink final : public ResultSink {
  private:
   std::unique_ptr<std::ostream> owned_;
   std::ostream* os_;
-  /// Reused per-cell line buffer (see CsvSink::buf_).
+  /// Reused per-cell line and token buffers (see CsvSink::buf_).
   std::string buf_;
+  std::string token_;
 };
 
 /// Fans every cell out to each registered sink, in registration order.

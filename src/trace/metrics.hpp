@@ -38,30 +38,26 @@ struct KernelStats {
   /// and parsers key on.
   template <typename F>
   void for_each(F&& f) const {
-    f("events_popped", events_popped);
-    f("idle_leaps", idle_leaps);
-    f("running_leaps", running_leaps);
-    f("ticks_coalesced", ticks_coalesced);
-    f("timer_ticks", timer_ticks);
-    f("charges_enqueued", charges_enqueued);
-    f("charge_flushes", charge_flushes);
-    f("context_switches", context_switches);
-    f("stale_events", stale_events);
-    f("max_event_queue_depth", max_event_queue_depth);
+    visit(*this, f);
   }
-  /// Mutable twin of for_each, for field-by-name parsers.
   template <typename F>
   void for_each(F&& f) {
-    f("events_popped", events_popped);
-    f("idle_leaps", idle_leaps);
-    f("running_leaps", running_leaps);
-    f("ticks_coalesced", ticks_coalesced);
-    f("timer_ticks", timer_ticks);
-    f("charges_enqueued", charges_enqueued);
-    f("charge_flushes", charge_flushes);
-    f("context_switches", context_switches);
-    f("stale_events", stale_events);
-    f("max_event_queue_depth", max_event_queue_depth);
+    visit(*this, f);
+  }
+
+ private:
+  template <typename Self, typename F>
+  static void visit(Self& self, F& f) {
+    f("events_popped", self.events_popped);
+    f("idle_leaps", self.idle_leaps);
+    f("running_leaps", self.running_leaps);
+    f("ticks_coalesced", self.ticks_coalesced);
+    f("timer_ticks", self.timer_ticks);
+    f("charges_enqueued", self.charges_enqueued);
+    f("charge_flushes", self.charge_flushes);
+    f("context_switches", self.context_switches);
+    f("stale_events", self.stale_events);
+    f("max_event_queue_depth", self.max_event_queue_depth);
   }
 };
 

@@ -101,31 +101,35 @@ struct Telemetry {
   /// on; order is load-bearing for byte-stable round trips.
   template <typename F>
   void for_each_series(F&& f) const {
-    f("run_queue", run_queue);
-    f("runnable", runnable);
-    f("free_frames", free_frames);
-    f("event_depth", event_depth);
-    f("victim_gap", victim_gap);
+    visit_series(*this, f);
   }
   template <typename F>
   void for_each_series(F&& f) {
-    f("run_queue", run_queue);
-    f("runnable", runnable);
-    f("free_frames", free_frames);
-    f("event_depth", event_depth);
-    f("victim_gap", victim_gap);
+    visit_series(*this, f);
   }
   template <typename F>
   void for_each_sketch(F&& f) const {
-    f("billing_error", billing_error);
-    f("charge_batch", charge_batch);
-    f("cell_seconds", cell_seconds);
+    visit_sketches(*this, f);
   }
   template <typename F>
   void for_each_sketch(F&& f) {
-    f("billing_error", billing_error);
-    f("charge_batch", charge_batch);
-    f("cell_seconds", cell_seconds);
+    visit_sketches(*this, f);
+  }
+
+ private:
+  template <typename Self, typename F>
+  static void visit_series(Self& self, F& f) {
+    f("run_queue", self.run_queue);
+    f("runnable", self.runnable);
+    f("free_frames", self.free_frames);
+    f("event_depth", self.event_depth);
+    f("victim_gap", self.victim_gap);
+  }
+  template <typename Self, typename F>
+  static void visit_sketches(Self& self, F& f) {
+    f("billing_error", self.billing_error);
+    f("charge_batch", self.charge_batch);
+    f("cell_seconds", self.cell_seconds);
   }
 };
 

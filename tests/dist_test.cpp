@@ -27,7 +27,9 @@
 #include <utility>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
+#include "common/table.hpp"
 #include "crypto/sha256.hpp"
 #include "dist/driver.hpp"
 #include "dist/fault.hpp"
@@ -47,8 +49,31 @@
 namespace mtr::dist {
 namespace {
 
+/// Every dist_test process works in its own directory, removed at exit, so
+/// two runs at once (a Release and a sanitizer build, say) never share a
+/// file. A threadsafe-style death-test child re-executes this binary; it
+/// finds its parent's directory in the environment it inherits.
+struct TempRoot {
+  static constexpr const char* kVariable = "MTR_DIST_TEST_TMPDIR";
+  const bool owner = std::getenv(kVariable) == nullptr;
+  const std::filesystem::path path =
+      owner ? std::filesystem::path(::testing::TempDir()) /
+                  ("dist_test." + std::to_string(::getpid()))
+            : std::filesystem::path(std::getenv(kVariable));
+  TempRoot() {
+    if (!owner) return;
+    std::filesystem::create_directories(path);
+    ::setenv(kVariable, path.c_str(), 1);
+  }
+  ~TempRoot() {
+    std::error_code ignored;
+    if (owner) std::filesystem::remove_all(path, ignored);
+  }
+};
+
 std::string temp_path(const std::string& name) {
-  return (std::filesystem::path(::testing::TempDir()) / name).string();
+  static const TempRoot root;
+  return (root.path / name).string();
 }
 
 std::string read_file(const std::string& path) {
@@ -212,8 +237,7 @@ core::CellStats synth_cell(std::uint64_t index,
     r.billed_seconds = 2.5 + static_cast<double>(i);
     r.true_seconds = 2.375;
     cell.runs.push_back(r);
-    cell.for_each_stat(
-        [&](const char*, RunningStats& stat, auto get) { stat.add(get(r)); });
+    cell.add(r);
   }
   return cell;
 }
@@ -1075,7 +1099,7 @@ TEST(RecordsTest, ScanErrorsNameFileLineAndField) {
             if (i == 3) {
               for (std::size_t c = 0; c < row.size(); ++c) {
                 if (c) text += ',';
-                text += report::csv_escape(row[c]);
+                append_csv_cell(text, row[c]);
               }
             } else {
               text += csv_lines[i];
@@ -1096,6 +1120,88 @@ TEST(RecordsTest, ScanErrorsNameFileLineAndField) {
       layout);
   std::filesystem::remove(jsonl);
   std::filesystem::remove(csv);
+}
+
+/// A JSON value that a run-record member of type T cannot decode: the
+/// wrong JSON kind, an out-of-range number, or text the token codec rejects.
+template <class T>
+std::string undecodable() {
+  if constexpr (std::is_same_v<T, bool>) return "1";
+  else if constexpr (std::is_same_v<T, double>) return "1e999";
+  else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>)
+    return "9223372036854775808";
+  else if constexpr (std::is_integral_v<T>) return "-1";
+  else if constexpr (std::is_same_v<T, std::string>) return "7";
+  else if constexpr (std::is_same_v<T, workloads::WorkloadKind>) return "\"Z\"";
+  else if constexpr (std::is_same_v<T, crypto::Digest32>)
+    return "\"z" + std::string(63, '0') + "\"";
+  else if constexpr (std::is_same_v<T, QuantileSketch>) return "\"1;2\"";
+  else {
+    static_assert(std::is_same_v<T, std::vector<std::string>>);
+    return "\"; \"";
+  }
+}
+
+TEST(RecordsTest, EveryRunFieldThatDoesNotDecodeStopsScanResumeAndMerge) {
+  // For every key of the run-record table, an undecodable value in the
+  // second cell's first run line stops the scan there, naming the line,
+  // the key and the byte where the line starts; resume keeps exactly
+  // cell 0, and mtr_merge refuses the shard as corrupt.
+  const std::string jsonl = temp_path("dist_field_corrupt.jsonl");
+  write_shard_jsonl(jsonl, {0, 1});
+  const auto lines = lines_of(read_file(jsonl));
+  ASSERT_EQ(lines.size(), 6u);  // two runs and a summary per cell
+  const std::uint64_t cell0_bytes =
+      lines[0].size() + lines[1].size() + lines[2].size() + 3;
+  const std::string cell0_end = "(byte " + std::to_string(cell0_bytes) + ")";
+  std::size_t keys = 0;
+  report::RunRecord layout;
+  report::for_each_run_field(
+      [&](const char* key, auto& member) {
+        ++keys;
+        const std::string tag = std::string("\"") + key + "\":";
+        std::string bad = lines[3];
+        const std::size_t from = bad.find(tag) + tag.size();
+        ASSERT_GT(from, tag.size()) << key;
+        const std::size_t end = bad[from] == '"'
+                                    ? bad.find('"', from + 1) + 1
+                                    : bad.find_first_of(",}", from);
+        bad.replace(from, end - from,
+                    undecodable<std::remove_cvref_t<decltype(member)>>());
+        std::string text;
+        for (std::size_t i = 0; i < lines.size(); ++i)
+          text += (i == 3 ? bad : lines[i]) + "\n";
+        write_file(jsonl, text);
+
+        const FileScan scan = scan_jsonl(jsonl);
+        EXPECT_FALSE(scan.clean) << key;
+        ASSERT_EQ(scan.blocks.size(), 1u) << key << ": " << scan.tail_error;
+        EXPECT_EQ(scan.blocks[0].coords.cell_index, 0u) << key;
+        EXPECT_EQ(scan.valid_bytes, cell0_bytes) << key;
+        EXPECT_NE(scan.tail_error.find(jsonl + ":4: field '" + key + "'"),
+                  std::string::npos)
+            << scan.tail_error;
+        EXPECT_NE(scan.tail_error.find(cell0_end), std::string::npos)
+            << scan.tail_error;
+
+        try {
+          merge_jsonl({jsonl});
+          ADD_FAILURE() << "merge accepted a bad '" << key << "'";
+        } catch (const MergeError& e) {
+          EXPECT_EQ(e.fault, MergeFault::kCorrupt) << key;
+          EXPECT_NE(std::string(e.what()).find(std::string("'") + key + "'"),
+                    std::string::npos)
+              << e.what();
+        }
+
+        const ResumeIndex index = ResumeIndex::scan("", jsonl, {7, 8});
+        EXPECT_EQ(index.size(), 1u) << key;
+        index.truncate_files();
+        EXPECT_EQ(read_file(jsonl), text.substr(0, cell0_bytes)) << key;
+      },
+      layout);
+  EXPECT_EQ(keys + 1, report::run_schema_keys().size());
+  std::filesystem::remove(jsonl);
 }
 
 TEST(RecordsTest, OldSchemaInputIsRefusedNamingFileLineFieldVersionAndByte) {

@@ -68,11 +68,36 @@ core::CellStats sample_cell() {
     r.attacker_billed_seconds = 0.144;
     r.attacker_true_cycles = {Cycles{100}, Cycles{200}};
     r.attacker_true_seconds = 0.000000118577;
+    r.pop_tenants = 4;
+    r.pop_attackers = 1;
+    r.pop_billing_error_mean = 0.1 * static_cast<double>(i + 1);
+    r.pop_detection_tpr = 1.0;
+    r.pop_billing_error.add(-0.25);
+    r.pop_billing_error.add(0.0);
+    r.pop_billing_error.add(1.0 / 7.0 + static_cast<double>(i));
+    r.pop_billed_seconds.add(3.0);
+    r.pop_true_seconds.add(2.875);
+    r.pop_attacker_advantage.add(0.5);
     cell.runs.push_back(r);
-    cell.for_each_stat(
-        [&](const char*, RunningStats& stat, auto get) { stat.add(get(r)); });
+    cell.add(r);
   }
   return cell;
+}
+
+/// The source record of run `seed_i` of `cell`, as the sinks write it.
+RunRecord source_record(const std::string& sweep, const core::CellStats& cell,
+                        std::size_t seed_i) {
+  return {record_coords(sweep, cell.cell_index, cell), cell.seeds[seed_i],
+          seed_i, cell.runs[seed_i]};
+}
+
+/// Compares two records member by member through the table.
+void expect_same_record(const RunRecord& got, const RunRecord& want) {
+  for_each_run_field(
+      [](const char* key, const auto& g, const auto& w) {
+        EXPECT_TRUE(g == w) << key;
+      },
+      got, want);
 }
 
 std::vector<std::string> lines_of(const std::string& text) {
@@ -235,27 +260,23 @@ TEST(CsvSinkTest, RoundTripsEveryField) {
   const auto header = split_csv_line(lines[0]);
   ASSERT_EQ(header, run_schema_keys());
 
+  // Every row decodes through the table and the token codec back into the
+  // exact source record (doubles render as %.17g, which round-trips
+  // binary64; the violation list, witness and sketches are text tokens).
   for (std::size_t seed_i = 0; seed_i < 2; ++seed_i) {
     const auto row = split_csv_line(lines[1 + seed_i]);
     ASSERT_EQ(row.size(), header.size());
-    const auto fields = flatten_run("fig04", cell, seed_i);
-    ASSERT_EQ(fields.size(), row.size());
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      // Strings survive escaping; numbers re-parse to the exact value
-      // (doubles render as %.17g, which round-trips binary64).
-      const FieldValue& v = fields[c].value;
-      if (const auto* s = std::get_if<std::string>(&v)) {
-        EXPECT_EQ(row[c], *s) << header[c];
-      } else if (const auto* d = std::get_if<double>(&v)) {
-        EXPECT_EQ(std::strtod(row[c].c_str(), nullptr), *d) << header[c];
-      } else if (const auto* u = std::get_if<std::uint64_t>(&v)) {
-        EXPECT_EQ(std::strtoull(row[c].c_str(), nullptr, 10), *u) << header[c];
-      } else if (const auto* i = std::get_if<std::int64_t>(&v)) {
-        EXPECT_EQ(std::strtoll(row[c].c_str(), nullptr, 10), *i) << header[c];
-      } else {
-        EXPECT_EQ(row[c], std::get<bool>(v) ? "true" : "false") << header[c];
-      }
-    }
+    EXPECT_EQ(row[0], std::to_string(kSchemaVersion));
+    RunRecord decoded;
+    std::size_t c = 1;
+    for_each_run_field(
+        [&](const char* key, auto& member) {
+          EXPECT_TRUE(parse_token(row[c], member)) << key << "=" << row[c];
+          ++c;
+        },
+        decoded);
+    EXPECT_EQ(c, row.size());
+    expect_same_record(decoded, source_record("fig04", cell, seed_i));
   }
 
   // Spot-check load-bearing cells against the source struct directly.
@@ -295,24 +316,24 @@ TEST(JsonlSinkTest, RoundTripsRunsAndCellSummary) {
   EXPECT_EQ(json_raw_value(lines[1], "record"), "run");
   EXPECT_EQ(json_raw_value(lines[2], "record"), "cell");
 
-  // Every schema key appears on every run line with the exact value.
+  // Every run line carries the table's keys in table order, and its values
+  // decode through the token codec back into the exact source record.
   for (std::size_t seed_i = 0; seed_i < 2; ++seed_i) {
     const std::string& line = lines[seed_i];
-    for (const Field& f : flatten_run("fig07", cell, seed_i)) {
-      const std::string raw = json_raw_value(line, f.key);
-      ASSERT_NE(raw, "<missing>") << f.key;
-      if (const auto* s = std::get_if<std::string>(&f.value)) {
-        EXPECT_EQ(raw, *s) << f.key;
-      } else if (const auto* d = std::get_if<double>(&f.value)) {
-        EXPECT_EQ(std::strtod(raw.c_str(), nullptr), *d) << f.key;
-      } else if (const auto* u = std::get_if<std::uint64_t>(&f.value)) {
-        EXPECT_EQ(std::strtoull(raw.c_str(), nullptr, 10), *u) << f.key;
-      } else if (const auto* i = std::get_if<std::int64_t>(&f.value)) {
-        EXPECT_EQ(std::strtoll(raw.c_str(), nullptr, 10), *i) << f.key;
-      } else {
-        EXPECT_EQ(raw, std::get<bool>(f.value) ? "true" : "false") << f.key;
-      }
-    }
+    EXPECT_EQ(line.rfind("{\"record\":\"run\",\"schema\":4,\"sweep\":", 0), 0u)
+        << line;
+    RunRecord decoded;
+    std::size_t last_at = 0;
+    for_each_run_field(
+        [&](const char* key, auto& member) {
+          const std::size_t at = line.find(std::string("\"") + key + "\":");
+          EXPECT_GT(at, last_at) << key;
+          last_at = at;
+          const std::string raw = json_raw_value(line, key);
+          EXPECT_TRUE(parse_token(raw, member)) << key << "=" << raw;
+        },
+        decoded);
+    expect_same_record(decoded, source_record("fig07", cell, seed_i));
   }
 
   // The cell summary carries the aggregates a figure plots, plus (since
@@ -332,9 +353,9 @@ TEST(JsonlSinkTest, RoundTripsRunsAndCellSummary) {
 }
 
 TEST(CellRecordTest, PopulationAxesFollowJiffyTimers) {
-  std::ostringstream os;
-  write_cell_record(os, summarize_cell("fig07", sample_cell()));
-  const std::string line = os.str();
+  const core::CellStats cell = sample_cell();
+  std::string line;
+  write_cell_record(line, record_coords("fig07", cell.cell_index, cell), cell);
   EXPECT_EQ(line.rfind("{\"record\":\"cell\",\"schema\":4,\"sweep\":\"fig07\",", 0),
             0u)
       << line;
@@ -414,8 +435,8 @@ TEST(SweepRegistryTest, AddFindAndRejectDuplicates) {
 }
 
 TEST(CellRecordTest, SummaryMatchesJsonlSinkOutput) {
-  // write_cell_record over summarize_cell must reproduce exactly the cell
-  // line JsonlSink emits — mtr_merge leans on this emitter for
+  // write_cell_record over the cell's aggregate must reproduce exactly the
+  // cell line JsonlSink emits — mtr_merge leans on this emitter for
   // byte-identical merged aggregates.
   const core::CellStats cell = sample_cell();
   std::ostringstream sink_os;
@@ -423,9 +444,9 @@ TEST(CellRecordTest, SummaryMatchesJsonlSinkOutput) {
   const auto lines = lines_of(sink_os.str());
   ASSERT_EQ(lines.size(), 3u);
 
-  std::ostringstream record_os;
-  write_cell_record(record_os, summarize_cell("fig07", cell));
-  EXPECT_EQ(record_os.str(), lines[2] + "\n");
+  std::string record;
+  write_cell_record(record, record_coords("fig07", cell.cell_index, cell), cell);
+  EXPECT_EQ(record, lines[2] + "\n");
   EXPECT_EQ(json_raw_value(lines[2], "cell_index"), "5");
 }
 
