@@ -429,7 +429,8 @@ struct ShardSet {
     std::filesystem::create_directories(dir);
     std::vector<std::unique_ptr<report::JsonlSink>> sinks;
     for (int s = 0; s < 4; ++s) {
-      paths.push_back((dir / ("shard" + std::to_string(s) + ".jsonl")).string());
+      const std::string name = "shard" + std::to_string(s) + ".jsonl";
+      paths.push_back((dir / name).string());
       sinks.push_back(std::make_unique<report::JsonlSink>(paths.back()));
     }
     for (std::uint64_t c = 0; c < 8; ++c)
@@ -460,7 +461,8 @@ BENCHMARK(BM_ScanJsonl)->Unit(benchmark::kMillisecond);
 
 void BM_MergeJsonl(benchmark::State& state) {
   const ShardSet& set = shard_set();
-  for (auto _ : state) benchmark::DoNotOptimize(dist::merge_jsonl(set.paths).size());
+  for (auto _ : state)
+    benchmark::DoNotOptimize(dist::merge_jsonl(set.paths).size());
   state.SetBytesProcessed(set.bytes * state.iterations());
 }
 BENCHMARK(BM_MergeJsonl)->Unit(benchmark::kMillisecond);

@@ -1,9 +1,10 @@
 // The one JSON reader of the dist layer: a small strict recursive-descent
 // parser behind the JSONL record scanner (and through it mtr_merge's
-// aggregate recompute), the metrics.json parser, and mtr_inspect. Numbers keep their raw token so
-// uint64 counters survive values a double round-trip would corrupt;
-// anything outside the closed grammar our writers emit is rejected with an
-// error naming the byte offset and the field being read.
+// aggregate recompute), the metrics.json parser, and mtr_inspect. Numbers
+// keep their raw token so uint64 counters survive values a double
+// round-trip would corrupt; anything outside the closed grammar our
+// writers emit is rejected with an error naming the byte offset and the
+// field being read.
 #pragma once
 
 #include <cstdint>

@@ -130,10 +130,10 @@ void append_token(std::string& out, const QuantileSketch& v) {
   append_token(out, v.min());
   out += ';';
   append_token(out, v.max());
-  for (const QuantileSketch::Buckets* buckets : {&v.positive(), &v.negative()}) {
+  for (const QuantileSketch::Buckets* list : {&v.positive(), &v.negative()}) {
     out += ';';
     bool first = true;
-    for (const auto& [index, n] : *buckets) {
+    for (const auto& [index, n] : *list) {
       if (!first) out += ' ';
       first = false;
       append_token(out, index);

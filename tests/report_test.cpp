@@ -445,7 +445,8 @@ TEST(CellRecordTest, SummaryMatchesJsonlSinkOutput) {
   ASSERT_EQ(lines.size(), 3u);
 
   std::string record;
-  write_cell_record(record, record_coords("fig07", cell.cell_index, cell), cell);
+  write_cell_record(record, record_coords("fig07", cell.cell_index, cell),
+                    cell);
   EXPECT_EQ(record, lines[2] + "\n");
   EXPECT_EQ(json_raw_value(lines[2], "cell_index"), "5");
 }
