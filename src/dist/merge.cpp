@@ -231,9 +231,8 @@ std::string merge_csv(const std::vector<std::string>& inputs,
                       bool allow_gaps, std::vector<std::uint64_t>* missing) {
   const GatheredBlocks cells =
       gather_blocks(inputs, /*jsonl=*/false, allow_gaps, missing);
-  std::ostringstream os;
-  report::write_csv_header(os);
-  std::string out = os.str();
+  std::string out;
+  report::write_csv_header(out);
   for (const auto& [index, entry] : cells) {
     for (const std::string& line : entry.first.run_lines) {
       out += line;

@@ -179,18 +179,12 @@ bool parse_token(std::string_view text, std::vector<std::string>& out) {
 }
 
 bool parse_token(std::string_view text, crypto::Digest32& out) {
-  if (text.size() != 2 * out.bytes.size()) return false;
-  const auto nibble = [](char c) {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    return -1;  // to_hex writes lowercase only
-  };
-  for (std::size_t i = 0; i < out.bytes.size(); ++i) {
-    const int hi = nibble(text[2 * i]), lo = nibble(text[2 * i + 1]);
-    if (hi < 0 || lo < 0) return false;
-    out.bytes[i] = static_cast<std::uint8_t>(hi << 4 | lo);
+  try {
+    out = crypto::digest_from_hex<32>(text);
+    return true;
+  } catch (const ConfigError&) {
+    return false;
   }
-  return true;
 }
 
 bool parse_token(std::string_view text, QuantileSketch& out) {
@@ -276,13 +270,13 @@ std::vector<std::string> split_csv_line(const std::string& line) {
   return cells;
 }
 
-void write_csv_header(std::ostream& os) {
-  std::string line;
-  for (const std::string& key : run_schema_keys()) {
-    if (!line.empty()) line += ',';
-    append_csv_cell(line, key);
+void write_csv_header(std::string& out) {
+  const std::vector<std::string> keys = run_schema_keys();
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (i) out += ',';
+    append_csv_cell(out, keys[i]);
   }
-  os << line << '\n';
+  out += '\n';
 }
 
 CsvSink::CsvSink(const std::string& path, OpenMode mode)
@@ -295,12 +289,9 @@ CsvSink::CsvSink(std::ostream& os) : os_(&os) {}
 
 void CsvSink::write_cell(const std::string& sweep, const core::CellStats& cell) {
   if (sink_flush_hook()) sink_flush_hook()("csv");
-  if (!header_written_) {
-    write_csv_header(*os_);
-    header_written_ = true;
-  }
   if (buf_.capacity() == 0) buf_.reserve(4096);
   buf_.clear();  // keeps capacity: no steady-state reallocation
+  if (!header_written_) write_csv_header(buf_);
   const CellCoords coords = record_coords(sweep, cell.cell_index, cell);
   for (std::size_t seed_i = 0; seed_i < cell.runs.size(); ++seed_i) {
     const RunView run{coords, cell.seeds.at(seed_i), seed_i, cell.runs[seed_i]};
@@ -318,6 +309,7 @@ void CsvSink::write_cell(const std::string& sweep, const core::CellStats& cell) 
   // ofstream swallows I/O errors into badbit; surface them (ENOSPC etc.)
   // instead of exiting 0 with a truncated artifact.
   MTR_ENSURE_MSG(os_->good(), "CSV sink write failed (disk full or closed?)");
+  header_written_ = true;
 }
 
 JsonlSink::JsonlSink(const std::string& path, OpenMode mode)

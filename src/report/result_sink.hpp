@@ -212,8 +212,8 @@ std::vector<std::string> run_schema_keys();
 
 // The token codec: one record member as text, before CSV or JSON quoting.
 // Bools are true/false, doubles %.17g (round-trips binary64), a workload
-// its short name, violations joined with "; ", a digest lowercase hex, a
-// sketch its encode_sketch token. parse_token is the strict inverse.
+// its short name, violations joined with "; ", a digest hex, a sketch its
+// encode_sketch token. parse_token is the strict inverse.
 
 /// Members whose token is text, which JSON quotes and CSV may escape.
 template <class T>
@@ -230,7 +230,7 @@ template <std::integral T>
 void append_token(std::string& out, T v) {
   char buf[24];
   const auto r = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, r.ptr);
+  out.append(buf, static_cast<std::size_t>(r.ptr - buf));
 }
 
 bool parse_token(std::string_view text, bool& out);
@@ -252,9 +252,9 @@ bool parse_token(std::string_view text, T& out) {
 /// so a line is always a whole row.
 std::vector<std::string> split_csv_line(const std::string& line);
 
-/// Writes the canonical CSV header row (run_schema_keys, escaped). Shared
+/// Appends the canonical CSV header row (run_schema_keys, escaped). Shared
 /// by CsvSink and mtr_merge so merged files are byte-identical.
-void write_csv_header(std::ostream& os);
+void write_csv_header(std::string& out);
 
 /// Appends the `record:"cell"` JSONL line of the cell at `coords`, reading
 /// its run count, workload, source verdict and aggregates from what
