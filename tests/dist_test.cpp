@@ -1,7 +1,8 @@
 // Distributed-sweep coverage: shard spec parsing and partition laws, the
 // driver CLI (strict flag parsing, selection errors, sink plumbing,
 // dry-run planning), resume edge cases (partial cell re-run, seed and
-// coordinate mismatches), refusal of old-schema records and metrics,
+// coordinate mismatches), refusal of old-schema records and metrics and
+// of run records with any field that does not decode,
 // mtr_merge (duplicate/conflicting cells, gaps, missing and incomplete
 // shards, the exit-code taxonomy, byte-identity of shard+resume runs
 // against a single-process run), fault injection (plan parsing, crash and
